@@ -10,6 +10,7 @@ tabular commands to CSV. Exit codes: 0 ok, 2 precondition error,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from .eigencurve import (
     EigencurvePointModel,
     annulus_index,
     classify,
+    classify_slope,
     twin,
     twin_index_sum_check,
 )
@@ -29,6 +31,7 @@ from .errors import (
     VerificationFailure,
 )
 from .overconvergent import (
+    OcSlopeReport,
     oc_slopes,
     slopes_to_csv,
     slopes_to_plot_data,
@@ -80,15 +83,6 @@ def _point_from_args(k: int, m: int, slope_str: str) -> EigencurvePointModel:
     return EigencurvePointModel(WeightCharacter(k, m), rat_from_str(slope_str))
 
 
-def _classify_slope(slope: Fraction, k: int) -> str:
-    if slope == 0:
-        return "ordinary"
-    if slope < k - 1:
-        return "numerically_non_critical"
-    return "neither"
-
-
-
 def _pos_or_flag(parser_args, positional, flag, cast):
     """Commands mirror their documented positional form but every parameter
     is also reachable as a flag; exactly one spelling must be used."""
@@ -101,21 +95,15 @@ def _pos_or_flag(parser_args, positional, flag, cast):
         raise PreconditionError(f"{name} given both positionally and as --{name}")
     return cast(pos_val if pos_val is not None else flag_val)
 
-def _cmd_slopes(args) -> int:
-    from .spaces import expected_dimension, sturm_bound
 
+def _cmd_slopes(args) -> int:
     level = Level(args.level)
-    try:
-        prec = 2 * sturm_bound(level, args.k) + expected_dimension(level, args.k) + 10
-    except Exception:
-        prec = None
     key = {
         "command": "slopes",
         "level": args.level,
         "k": args.k,
         "op": args.op,
         "p": args.p,
-        "prec": prec,
         "code": code_version(),
     }
     cache = _open_cache(args)
@@ -160,7 +148,7 @@ def _cmd_slopes(args) -> int:
             "slopes": [rat_to_str(s) for s in slopes],
             "zero_roots": polygon.zero_root_multiplicity,
             "classification": [
-                {"slope": rat_to_str(s), "class": _classify_slope(s, args.k)} for s in slopes
+                {"slope": rat_to_str(s), "class": classify_slope(s, args.k)} for s in slopes
             ],
             "refinements": refinements,
         }
@@ -184,9 +172,7 @@ def _cmd_slopes(args) -> int:
         return json_dumps_stable(obj)
 
     payload, ok = _cached_compute(cache, key, compute, args.verify_cache)
-    import json as _json
-
-    obj = _json.loads(payload)
+    obj = json.loads(payload)
     if args.plot:
         # weight-vs-slope rows; appending sweeps over k builds a plot file
         with open(args.plot, "a") as fh:
@@ -241,10 +227,8 @@ def _cmd_pingpong(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import json as _json
-
     with open(args.certificate) as fh:
-        obj = _json.load(fh)
+        obj = json.load(fh)
     violations = verify_certificate_json(obj)
     if violations:
         for v in violations:
@@ -276,23 +260,14 @@ def _cmd_oc(args) -> int:
         return json_dumps_stable(obj)
 
     payload, ok = _cached_compute(cache, key, compute, args.verify_cache)
-    import json as _json
-
-    obj = _json.loads(payload)
+    obj = json.loads(payload)
+    report = OcSlopeReport(
+        obj["size"], tuple(rat_from_str(s) for s in obj["slopes"]), obj["zero_roots"], None, None
+    )
     if args.plot:
-        from .overconvergent import OcSlopeReport
-
-        report = OcSlopeReport(
-            obj["size"], tuple(rat_from_str(s) for s in obj["slopes"]), obj["zero_roots"], None, None
-        )
         with open(args.plot, "w") as fh:
             fh.write(slopes_to_plot_data(report) + "\n")
     if args.csv:
-        from .overconvergent import OcSlopeReport
-
-        report = OcSlopeReport(
-            obj["size"], tuple(rat_from_str(s) for s in obj["slopes"]), obj["zero_roots"], None, None
-        )
         _emit(slopes_to_csv(report))
     else:
         _emit(payload)
@@ -474,10 +449,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 4
-    except SlopewalkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (SlopewalkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

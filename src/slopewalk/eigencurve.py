@@ -94,11 +94,15 @@ def twin_index_sum_check(pt: EigencurvePointModel) -> bool:
 
 
 def classify(pt: EigencurvePointModel) -> str:
+    return classify_slope(pt.slope, pt.k)
+
+
+def classify_slope(slope: Fraction, k: int) -> str:
     """'ordinary' (slope 0), 'numerically_non_critical' (0 < slope < k-1),
     or 'neither' (slope >= k-1)."""
-    if pt.slope == 0:
+    if slope == 0:
         return "ordinary"
-    if pt.slope < pt.k - 1:
+    if slope < k - 1:
         return "numerically_non_critical"
     return "neither"
 

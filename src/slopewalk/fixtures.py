@@ -10,10 +10,10 @@ The store itself lives in data/fixtures.json. Entries carry a provenance
 class: "published" (q-expansion displays and closed-form constants taken from
 the literature; no oracle, recorded as ground truth), "trivial" (checkable by
 eye; oracle is direct evaluation), or "derived" (recomputed by a named oracle
-here). The overconvergent slope tables are the one exception: they are
-regression fixtures produced by the implementation itself and pinned for
-stability, since no independent desk-scale derivation exists; their oracle
-tag says so.
+here). The weight-0 overconvergent slope tables are derived from the
+Buzzard-Calegari closed form (Slopes of overconvergent 2-adic modular forms,
+Compositio Math. 2005): the slopes of U_2 are 0 and 1 + 2 v_2((3n)!/n!) for
+n >= 1, which needs nothing but integer arithmetic.
 
 run_oracles() recomputes everything and raises FixtureMismatch on the first
 disagreement; the test suite runs it before anything else.
@@ -424,11 +424,16 @@ def _canon(x) -> str:
     return json.dumps(x, sort_keys=True, separators=(",", ":"))
 
 
-def _oc_regression(size: int, first: int = 10):
-    from .overconvergent import oc_slopes, u2_matrix_weight0
+def _nv2_factorial(m: int) -> int:
+    """v_2(m!) = m - (number of ones in the binary expansion of m)."""
+    return m - bin(m).count("1")
 
-    report = oc_slopes(u2_matrix_weight0(size, 2 * size + 8))
-    return [Fraction(s) for s in report.slopes[:first]]
+
+def _nbuzzard_calegari(count: int) -> list[Fraction]:
+    """First count weight-0 U_2 slopes: 0, then 1 + 2 v_2((3n)!/n!)."""
+    return [Fraction(0)] + [
+        Fraction(1 + 2 * (_nv2_factorial(3 * n) - _nv2_factorial(n))) for n in range(1, count)
+    ]
 
 
 _ORACLES = {
@@ -454,9 +459,9 @@ _ORACLES = {
     "ratio_order_tau": lambda: _nquad_ratio_order(-24, 12, 2),
     "ratio_order_seed_form": lambda: _nquad_ratio_order(-4, 5, 2),
     "ratio_order_exotic_p5": lambda: _nquad_ratio_order(-4, 5, 5),
-    "oc_slopes_n20_first10": lambda: _oc_regression(20),
-    "oc_slopes_n40_first10": lambda: _oc_regression(40),
-    "oc_slopes_n60_first10": lambda: _oc_regression(60),
+    "oc_slopes_n20_first10": lambda: _nbuzzard_calegari(10),
+    "oc_slopes_n40_first10": lambda: _nbuzzard_calegari(10),
+    "oc_slopes_n60_first10": lambda: _nbuzzard_calegari(10),
 }
 
 
@@ -586,8 +591,7 @@ def generate_store() -> dict:
     ]
     derived = []
     for fid, fn in _ORACLES.items():
-        tag = "regression:overconvergent" if fid.startswith("oc_slopes") else f"oracle:{fid}"
         derived.append(
-            {"id": fid, "provenance": "derived", "value": _enc(fn()), "oracle": tag}
+            {"id": fid, "provenance": "derived", "value": _enc(fn()), "oracle": f"oracle:{fid}"}
         )
     return {"version": 1, "fixtures": published + derived}

@@ -1,21 +1,34 @@
 """Truncated U_2 on weight-0 2-adic overconvergent forms, hauptmodul basis.
 
 The weight-0 space is parametrized by the level-2 hauptmodul
-f = Delta(q^2)/Delta(q) = q prod (1+q^n)^24. The change-of-basis solve is
-upper triangular against f^i = q^i + higher, so the expansion coefficients
-of U_2(f^j) in powers of f are exact integers determined row by row; within
-the working precision the residual is driven to literal zero. Low columns
-finish early (empirically U_2(f^j) is a polynomial of degree 2j in f) and
-the rows left over certify that; columns whose expansion outruns the window
-are finite-sectioned, which is the standard truncation, and their entries
-below row N are still exact. Valuations grow down the rows and along the
-lower part of the columns (the recorded compactness witness); Newton slopes
-of the truncation's exact characteristic polynomial are its eigenvalue
-valuations, and stabilization under growing N is the diagnostic that the
-spectral data has converged.
+f = Delta(q^2)/Delta(q) = q prod (1+q^n)^24, and U_2 is read off the
+level-2 modular equation: the two values x_i = f((tau+i)/2), i = 0, 1, are
+the roots of
 
-No slope value in this module is asserted a priori; expected sequences live
-in the frozen fixture store and were produced by this code, then pinned.
+    X^2 - (48 f + 4096 f^2) X - f.
+
+Their power sums p_j = x_0^j + x_1^j = 2 U_2(f^j) therefore satisfy
+
+    p_j = (48 f + 4096 f^2) p_{j-1} + f p_{j-2},   p_0 = 2,  p_1 = 48 f + 4096 f^2,
+
+so U_2(f^j) = p_j / 2 is a polynomial of degree 2j in f with integer
+coefficients; the division by 2 is checked to be exact. Column j of the
+N x N matrix holds the coefficients of f^0 .. f^(N-1) in U_2(f^j). With
+q-precision prec the known window is f^0 .. f^(prec//2 - 1): each column is
+truncated below degree prec//2, its top nonzero degree there is recorded as
+column_degrees[j] and the zero rows past it as residual_margins[j].
+
+The equation itself is certified on every call: p_1, p_2 and p_3 from the
+recurrence, evaluated at the q-expansion of f, must equal 2 U_2(f^j)
+computed from q-series at a fixed small precision, so a wrong coefficient
+raises InvariantError instead of producing a wrong matrix.
+
+Valuations grow down the rows and along the lower part of the columns (the
+recorded compactness witness); Newton slopes of the truncation's exact
+characteristic polynomial are its eigenvalue valuations, and stabilization
+under growing N is the diagnostic that the spectral data has converged. The
+frozen slope fixtures are checked against the Buzzard-Calegari closed form
+in fixtures.py, which shares no code with this module.
 """
 
 from __future__ import annotations
@@ -29,7 +42,10 @@ from .padic import NewtonPolygon, val
 from .qseries import QSeries, hauptmodul_f, u_p
 from .serialize import exact_decimal, rat_to_str
 
-BASIS_TAG = "powers of hauptmodul f, degrees 0..N-1"
+# (a, b, c) in X^2 - (a f + b f^2) X - c f, the level-2 modular equation
+MODULAR_EQUATION = (48, 4096, 1)
+
+_CHECK_PREC = 40  # q-precision of the per-call check of MODULAR_EQUATION
 
 
 @dataclass(frozen=True)
@@ -38,10 +54,8 @@ class TruncatedCompactOperator:
 
     size: int
     matrix: tuple[tuple[int, ...], ...]
-    basis_tag: str
-    q_prec: int
     column_degrees: tuple[int, ...]
-    residual_margins: tuple[int, ...]  # zero rows certified past each column's degree
+    residual_margins: tuple[int, ...]  # zero rows known past each column's degree
     # empirical compactness witness: min valuation on/below the diagonal per
     # column (grows with j), plus per-row minima (grow with i)
     column_min_valuations: tuple[Fraction | None, ...]
@@ -49,57 +63,58 @@ class TruncatedCompactOperator:
     integral: bool
 
 
-def u2_matrix_weight0(n: int, prec: int) -> TruncatedCompactOperator:
-    """Expand U_2(f^j) for j < n in powers of f and take the N x N block.
+def _power_sums(count: int, rows: int) -> list[list[int]]:
+    """p_0 .. p_{count-1} from the recurrence, each as its coefficients of
+    f^0 .. f^(rows-1)."""
+    a, b, c = MODULAR_EQUATION
 
-    Requires prec >= 2n + 8. Each column solve is genuinely upper
-    triangular (f^i = q^i + higher with integer coefficients), so the
-    expansion coefficients are exact integers; the rows past each column's
-    final degree are checked to vanish and their count is recorded as that
-    column's residual margin.
+    def times_trace(p: list[int]) -> list[int]:  # (a f + b f^2) p, truncated
+        return [0] + [a * p[i - 1] + (b * p[i - 2] if i >= 2 else 0) for i in range(1, rows)]
+
+    sums = [[2] + [0] * (rows - 1), times_trace([1] + [0] * (rows - 1))]
+    while len(sums) < count:
+        t, prev = times_trace(sums[-1]), sums[-2]
+        sums.append([t[0]] + [t[i] + c * prev[i - 1] for i in range(1, rows)])
+    return sums[:count]
+
+
+def _check_modular_equation() -> None:
+    """p_j(f) must equal 2 U_2(f^j) as q-series for j = 1, 2, 3."""
+    f = hauptmodul_f(_CHECK_PREC)
+    rows = _CHECK_PREC // 2
+    f_low = f.truncate(rows)
+    fj = f
+    for j, p in enumerate(_power_sums(4, 7)[1:], start=1):
+        value, power = QSeries.zero(rows), QSeries.one(rows)
+        for coeff in p:
+            value, power = value + power.scalar_mul(coeff), power * f_low
+        if value.truncate(rows) != u_p(fj, 2).scalar_mul(2).truncate(rows):
+            raise InvariantError(
+                f"modular equation {MODULAR_EQUATION} disagrees with 2 U_2(f^{j}) as q-series"
+            )
+        fj = fj * f
+
+
+def u2_matrix_weight0(n: int, prec: int) -> TruncatedCompactOperator:
+    """The N x N block of U_2 in the basis f^0 .. f^(N-1), from the modular
+    equation, with entries known through degree prec//2 - 1.
+
+    Requires prec >= 2n + 8.
     """
     if n < 1:
         raise InsufficientPrecision(f"need n >= 1, got {n}")
     if prec < 2 * n + 8:
         raise InsufficientPrecision(f"need prec >= 2n + 8 = {2 * n + 8}, got {prec}")
-    f = hauptmodul_f(prec)
-    rows = prec // 2  # known coefficients of each U_2 image
-    powers = [[0] * rows for _ in range(rows)]
-    powers[0][0] = 1
-    fpow = None
-    for i in range(1, rows):
-        fpow = f if fpow is None else (fpow * f)
-        if fpow[i] != 1:
-            raise InvariantError(f"f^{i} is not monic at q^{i}; basis is broken")
-        powers[i] = list(fpow.coeffs[:rows])
-    columns: list[dict[int, int]] = []
-    degrees: list[int] = []
-    margins: list[int] = []
-    current = QSeries.one(prec)
-    for j in range(n):
-        series = u_p(current, 2)
-        if j < n - 1:
-            current = current * f
-        e = list(series.coeffs[:rows])
-        coeffs: dict[int, int] = {}
-        for i in range(rows):
-            ci = e[i]
-            if ci == 0:
-                continue
-            if not isinstance(ci, int):
-                raise InvariantError(f"non-integer expansion coefficient {ci} in column {j}")
-            coeffs[i] = ci
-            pi = powers[i]
-            for t in range(i, rows):
-                if pi[t]:
-                    e[t] -= ci * pi[t]
-        if any(e):
-            raise InvariantError(f"column {j} solve left a nonzero residual")
-        deg = max(coeffs) if coeffs else 0
-        degrees.append(deg)
-        margins.append(rows - 1 - deg)
-        columns.append(coeffs)
-    matrix = tuple(tuple(columns[j].get(i, 0) for j in range(n)) for i in range(n))
+    _check_modular_equation()
+    rows = prec // 2
+    columns: list[list[int]] = []
+    for j, p in enumerate(_power_sums(n, rows)):
+        if any(x % 2 for x in p):
+            raise InvariantError(f"2 U_2(f^{j}) has an odd coefficient in f")
+        columns.append([x // 2 for x in p])
+    degrees = [max((i for i, x in enumerate(col) if x), default=0) for col in columns]
+    margins = [rows - 1 - d for d in degrees]
+    matrix = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
     col_vals: list[Fraction | None] = []
     for j in range(n):
         nonzero = [matrix[i][j] for i in range(j, n) if matrix[i][j] != 0]
@@ -114,8 +129,6 @@ def u2_matrix_weight0(n: int, prec: int) -> TruncatedCompactOperator:
     return TruncatedCompactOperator(
         n,
         matrix,
-        BASIS_TAG,
-        prec,
         tuple(degrees),
         tuple(margins),
         tuple(col_vals),

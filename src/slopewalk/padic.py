@@ -158,9 +158,6 @@ class NewtonPolygon:
             out.extend([-seg.slope] * seg.length)
         return sorted(out)
 
-    def degree_span(self) -> int:
-        return sum(seg.length for seg in self.hull)
-
 
 def newton_slopes(coeffs, p: int) -> list[Fraction]:
     """Valuations of the nonzero roots of sum(c_i X^i), with multiplicity.

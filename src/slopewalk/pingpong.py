@@ -57,6 +57,11 @@ JUSTIFICATIONS = (
 AXIOM_TAG = "same_annulus_same_component"
 
 
+def _require_object(obj, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise PreconditionError(f"{what} must be a JSON object, got {type(obj).__name__}")
+
+
 @dataclass(frozen=True)
 class Move:
     kind: str
@@ -94,6 +99,7 @@ class Assumption:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Assumption":
+        _require_object(obj, "assumption")
         move = obj.get("move")
         return cls(str(obj["kind"]), str(obj["tag"]), None if move is None else int(move), str(obj["status"]))
 
@@ -121,6 +127,7 @@ class PingPongCertificate:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PingPongCertificate":
+        _require_object(obj, "certificate")
         if int(obj.get("schema", -1)) != SCHEMA_VERSION:
             raise PreconditionError(f"unsupported certificate schema {obj.get('schema')!r}")
         endpoints = tuple(int(x) for x in obj["endpoints"])
@@ -364,6 +371,6 @@ def verify_certificate_json(obj) -> list[Violation]:
     violation instead of an exception."""
     try:
         cert = PingPongCertificate.from_json_obj(obj)
-    except (SlopewalkError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (SlopewalkError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         return [Violation(None, "Malformed", f"{type(exc).__name__}: {exc}")]
     return verify_certificate(cert)

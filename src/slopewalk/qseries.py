@@ -169,21 +169,6 @@ class QSeries:
 
     # -- serialization ------------------------------------------------------
 
-    def to_text(self) -> str:
-        """Line-oriented "n coefficient" form, one line per known index."""
-        return "\n".join(f"{n} {rat_to_str(c)}" for n, c in enumerate(self.coeffs))
-
-    @classmethod
-    def from_text(cls, text: str) -> "QSeries":
-        entries = {}
-        for line in text.strip().splitlines():
-            n_str, c_str = line.split()
-            entries[int(n_str)] = rat_from_str(c_str)
-        prec = max(entries) + 1
-        if sorted(entries) != list(range(prec)):
-            raise ValueError("text form must list every index 0..prec-1")
-        return cls.from_coeffs([entries[n] for n in range(prec)])
-
     def to_json_obj(self) -> dict:
         return {"prec": self.prec, "coeffs": [rat_to_str(c) for c in self.coeffs]}
 

@@ -21,12 +21,14 @@ def rat_to_str(x) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse "num/den" or a bare integer string."""
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    """Parse "num/den" or a bare integer string; ValueError on a zero
+    denominator, TypeError on anything but a string."""
+    if not isinstance(s, str):
+        raise TypeError(f"expected a rational string, got {type(s).__name__}")
+    num, slash, den = s.strip().partition("/")
+    if slash and int(den) == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 def json_dumps_stable(obj) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, isqrt
 
 from . import linalg
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .padic import INFINITY, Valuation, newton_slopes, val
 from .qseries import QSeries, _norm, hecke_t_p, standard_series, theta, u_p
-from .serialize import rat_from_str, rat_to_str
+from .serialize import rat_to_str
 
 
 class Level(Enum):
@@ -119,13 +119,6 @@ class SpaceBasis:
             "prec": self.prec,
             "basis": [[rat_to_str(Fraction(c)) for c in b.coeffs] for b in self.basis],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SpaceBasis":
-        level = Level(obj["level"])
-        basis = tuple(QSeries.from_coeffs([rat_from_str(s) for s in row]) for row in obj["basis"])
-        exps = tuple(monomial_exponents(level, int(obj["k"])))
-        return cls(level, int(obj["k"]), basis, int(obj["prec"]), len(basis), exps)
 
 
 def build_basis(level: Level, k: int, prec_hint: int | None = None) -> SpaceBasis:
@@ -239,8 +232,10 @@ def operator_matrix(op: str, space: SpaceBasis, p: int | None = None) -> Operato
         if space.level.conductor % 2 == 0:
             raise PreconditionError("T_2 requires 2 coprime to the level conductor")
     elif op == "tp":
-        if p is None or p < 2:
+        if p is None:
             raise PreconditionError("tp needs an explicit prime p")
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise PreconditionError(f"p must be prime, got {p}")
         if gcd(p, space.level.conductor) != 1:
             raise PreconditionError(f"T_{p} requires p coprime to the conductor")
     else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CenterOfWeightSpace
-from .padic import Valuation, val
+from .padic import val
 
 
 @dataclass(frozen=True, order=True)
@@ -63,16 +63,3 @@ def in_boundary(wc: WeightCharacter) -> bool:
     """True when 0 < v(w) < 3 (the |8| < |w| < 1 annulus)."""
     v = w_valuation(wc)
     return 0 < v < 3
-
-
-@dataclass(frozen=True)
-class WCoordinate:
-    """Valuation footprint of w together with the membership bit."""
-
-    valuation: Valuation
-    in_boundary: bool
-
-    @classmethod
-    def of(cls, wc: WeightCharacter) -> "WCoordinate":
-        v = w_valuation(wc)
-        return cls(v, 0 < v < 3)

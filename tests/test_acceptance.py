@@ -176,7 +176,7 @@ def test_criterion_7_overconvergent_stabilization():
             op = u2_matrix_weight0(n, 2 * n + 8)
             assert op.integral, "entries must be 2-integral"
             assert all(v is None or v >= 0 for v in op.column_min_valuations)
-            assert len(op.residual_margins) == n  # solve residuals all cleared
+            assert len(op.residual_margins) == n  # one margin per column
             reports[n] = oc_slopes(op)
             assert reports[n].slopes[0] == 0
             assert list(reports[n].slopes) == sorted(reports[n].slopes)

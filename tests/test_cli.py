@@ -136,6 +136,45 @@ def test_precondition_exit_code(capsys):
     assert code == 2
 
 
+def run_cli_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def test_verify_missing_file_exit_code(capsys, tmp_path):
+    code, err = run_cli_err(capsys, "verify", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_invalid_json_exit_code(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, err = run_cli_err(capsys, "verify", str(bad))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_verify_non_object_json_is_a_violation(capsys, tmp_path):
+    doc = tmp_path / "list.json"
+    doc.write_text("[]")
+    code, out = run_cli(capsys, "verify", str(doc))
+    assert code == 3
+    assert out.startswith("violation move=None Malformed:")
+
+
+def test_nregular_zero_denominator_exit_code(capsys):
+    code, err = run_cli_err(capsys, "nregular", "1/0", "12", "2", "3")
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_slopes_tp_composite_p_exit_code(capsys):
+    code, err = run_cli_err(capsys, "slopes", "--level", "sl2z", "--k", "12", "--op", "tp", "--p", "4")
+    assert code == 2
+    assert "p must be prime" in err
+
+
 def test_invariant_breach_exit_code(capsys, monkeypatch):
     import slopewalk.cli as cli
     from slopewalk.errors import InvariantError

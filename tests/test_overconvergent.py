@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from slopewalk.errors import InsufficientPrecision
-from slopewalk.fixtures import fixture_value
+import slopewalk.overconvergent as ov
+from slopewalk.errors import InsufficientPrecision, InvariantError
+from slopewalk.fixtures import _nbuzzard_calegari, fixture_value
 from slopewalk.overconvergent import (
     oc_slopes,
     slopes_to_csv,
@@ -63,6 +64,19 @@ def test_frozen_n20_fixture_reproduced():
     report = oc_slopes(u2_matrix_weight0(20, 48))
     frozen = [rat_from_str(s) for s in fixture_value("oc_slopes_n20_first10")]
     assert list(report.slopes[:10]) == frozen
+
+
+def test_every_truncated_spectrum_matches_buzzard_calegari():
+    for n in range(1, 33):
+        report = oc_slopes(u2_matrix_weight0(n, 2 * n + 8))
+        assert list(report.slopes) == _nbuzzard_calegari(n), f"N={n}"
+
+
+@pytest.mark.parametrize("equation", [(48, 4095, 1), (46, 4096, 1), (48, 4096, 3), (48, 4096, -1)])
+def test_wrong_modular_equation_is_an_invariant_error(monkeypatch, equation):
+    monkeypatch.setattr(ov, "MODULAR_EQUATION", equation)
+    with pytest.raises(InvariantError):
+        u2_matrix_weight0(6, 20)
 
 
 def test_stable_prefix_length():

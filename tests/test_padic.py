@@ -104,4 +104,4 @@ def test_hull_is_permutation_invariant_and_monotone(points, seed):
     slopes = [seg.slope for seg in polygon.hull]
     assert slopes == sorted(slopes)
     assert len(set(slopes)) == len(slopes), "segment slopes strictly increase"
-    assert polygon.degree_span() == max(x for x, _ in points) - min(x for x, _ in points)
+    assert sum(seg.length for seg in polygon.hull) == max(x for x, _ in points) - min(x for x, _ in points)

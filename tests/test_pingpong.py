@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certmut import apply_mutation, numeric_fields
 from slopewalk.eigencurve import EigencurvePointModel, annulus_index
@@ -158,3 +159,51 @@ def test_single_field_mutations_always_caught():
         _, path = rng.choice(numeric_fields(obj))
         delta = rng.choice([-3, -2, -1, 1, 2, 3])
         assert verify_certificate_json(apply_mutation(obj, path, delta)), (i, j, path, delta)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_verify_certificate_json_is_total(obj):
+    violations = verify_certificate_json(obj)
+    assert violations and all(v.code for v in violations)
+
+
+def _with_nested_defect(kind):
+    obj = json.loads(json.dumps(connect(3, 5).to_json_obj()))
+    if kind == "slope-not-string":
+        obj["moves"][0]["from"]["slope"] = 6
+    elif kind == "assumption-not-object":
+        obj["assumptions"][0] = "x"
+    elif kind == "move-not-object":
+        obj["moves"][1] = [1, 2]
+    elif kind == "assumptions-not-list":
+        obj["assumptions"] = {"kind": "axiom"}
+    elif kind == "infinite-weight":
+        obj["moves"][0]["from"]["k"] = float("inf")
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[], "x", None, 5]
+    + [
+        _with_nested_defect(kind)
+        for kind in (
+            "slope-not-string",
+            "assumption-not-object",
+            "move-not-object",
+            "assumptions-not-list",
+            "infinite-weight",
+        )
+    ],
+)
+def test_wrongly_typed_documents_are_malformed(obj):
+    violations = verify_certificate_json(obj)
+    assert [v.code for v in violations] == ["Malformed"]

@@ -130,11 +130,6 @@ def test_equality_only_up_to_shared_precision():
     assert a != b  # value semantics differ, precision differs
 
 
-def test_text_round_trip():
-    d = delta(7)
-    assert QSeries.from_text(d.to_text()) == d
-
-
 def test_json_round_trip():
     series = QSeries.from_coeffs([Fraction(1, 3), 2, Fraction(-7, 4)], prec=5)
     assert QSeries.from_json_obj(series.to_json_obj()) == series

@@ -262,9 +262,8 @@ def test_hatada_small_sweep():
 def test_space_and_matrix_json_round_trip():
     space = build_basis(Level.GAMMA1_4, 5)
     obj = space.to_json_obj()
-    back = SpaceBasis.from_json_obj(obj)
-    assert back.level == space.level and back.k == space.k
-    assert all(a == b for a, b in zip(back.basis, space.basis))
+    assert (obj["level"], obj["k"], obj["prec"]) == ("gamma1_4", 5, space.prec)
+    assert [[rat_from_str(c) for c in row] for row in obj["basis"]] == [list(b.coeffs) for b in space.basis]
     mat = operator_matrix("u2", space)
     mobj = mat.to_json_obj()
     assert mobj["operator"] == "u2"

@@ -7,7 +7,7 @@ from slopewalk.errors import CenterOfWeightSpace
 from slopewalk.fixtures import fixture_value
 from slopewalk.padic import val
 from slopewalk.serialize import rat_from_str
-from slopewalk.weightspace import WCoordinate, WeightCharacter, in_boundary, w_valuation
+from slopewalk.weightspace import WeightCharacter, in_boundary, w_valuation
 
 
 def test_w_valuation_examples():
@@ -56,8 +56,7 @@ def test_wild_valuation_is_independent_of_k(k, m):
 
 def test_wcoordinate_and_labels():
     wc = WeightCharacter(5, 0)
-    coord = WCoordinate.of(wc)
-    assert coord.valuation == 2 and coord.in_boundary
+    assert w_valuation(wc) == 2 and in_boundary(wc)
     assert wc.label() == "k=5,m=0"
     assert WeightCharacter.from_label("k=5,m=0") == wc
 
