@@ -37,6 +37,7 @@ from .overconvergent import (
     slopes_to_plot_data,
     u2_matrix_weight0,
 )
+from .linalg import rational_roots
 from .padic import NewtonPolygon
 from .pingpong import connect, verify_certificate_json
 from .serialize import exact_decimal, json_dumps_stable, rat_from_str, rat_to_str
@@ -123,8 +124,6 @@ def _cmd_slopes(args) -> int:
         slopes = polygon.slopes()
         refinements = []
         if level is Level.SL2Z and args.op == "t2":
-            from .linalg import rational_roots
-
             for root, mult in rational_roots(cp):
                 if root == 0:
                     continue
@@ -228,7 +227,10 @@ def _cmd_pingpong(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.certificate) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise PreconditionError(f"{args.certificate}: JSON nested too deeply") from None
     violations = verify_certificate_json(obj)
     if violations:
         for v in violations:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import NonIntegralIndex, NotInBoundary, NotPotentiallyCrystalline
-from .serialize import rat_from_str, rat_to_str
+from .serialize import json_scalar, rat_from_str, rat_to_str
 from .weightspace import WeightCharacter, in_boundary, w_valuation
 
 
@@ -52,10 +52,10 @@ class EigencurvePointModel:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EigencurvePointModel":
         return cls(
-            WeightCharacter(int(obj["k"]), int(obj["m"])),
+            WeightCharacter(json_scalar(obj["k"], int), json_scalar(obj["m"], int)),
             rat_from_str(obj["slope"]),
-            bool(obj["pc"]),
-            bool(obj["classical"]),
+            json_scalar(obj["pc"], bool),
+            json_scalar(obj["classical"], bool),
         )
 
 

@@ -14,7 +14,7 @@ fast big-integer path).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import InsufficientPrecision, ResidualNonzero
 
@@ -144,61 +144,76 @@ def charpoly(mat: Matrix) -> list:
     return list(reversed(v))
 
 
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division over Z, coefficients ascending: lc(b)^(deg a - deg b + 1)
+    * a = quot * b + rem with deg rem < deg b (plain division for monic b),
+    except that rem is returned divided by its content."""
+    quot, rem = [], list(a)
+    for d in range(len(a) - len(b), -1, -1):
+        c = rem[d + len(b) - 1]
+        quot = [c] + [x * b[-1] for x in quot]
+        rem = [x * b[-1] for x in rem]
+        for i, y in enumerate(b):
+            rem[d + i] -= c * y
+    rem = rem[: len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    content = gcd(*rem)
+    return quot, [x // content for x in rem]
+
+
+def _evaluate(f: list[int], y: int) -> int:
+    return sum(c * y**i for i, c in enumerate(f))
 
 
 def rational_roots(coeffs) -> list[tuple[Fraction, int]]:
-    """Rational roots (with multiplicity) of sum(c_i X^i), c_i rational.
+    """Rational roots (with multiplicity, sorted) of sum(c_i X^i), c_i rational.
 
-    Degrees <= 2 are resolved by hand (discriminant square test) so the
-    common paths need no sympy import; higher degrees defer to sympy's exact
-    factorization over Q.
+    One exact integer path for every degree (Loos's p-adic lifting of linear
+    factors). With zero roots split off and denominators cleared, p has degree
+    n, leading coefficient a and p(0) != 0; q(Y) = a^(n-1) p(Y/a) is monic over
+    Z, and y/a is a root of p exactly when y is an integer root of q. The
+    squarefree part s = q / gcd(q, q') (primitive Euclidean remainders) is
+    monic over Z by Gauss's lemma. As disc(s) != 0, at the least odd prime l
+    where every root of s mod l (found by trial) is simple, Newton's iteration
+    lifts each one uniquely mod l^(2^j). An integer root r has |r| <= 1 +
+    max |s_i| (Cauchy), so modulo M > 2(1 + max |s_i|) it is the symmetric
+    residue of the lift of r mod l. A candidate is kept only if Y - r divides
+    q exactly, and the number of such divisions is its multiplicity.
     """
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
         raise ValueError("zero polynomial has every root")
-    low = next(i for i, c in enumerate(cs) if c != 0)
-    zero_mult = low
-    cs = cs[low:]
-    deg = len(cs) - 1
+    zero_mult = next(i for i, c in enumerate(cs) if c != 0)
+    den = lcm(*(c.denominator for c in cs))
+    p = [int(c * den) for c in cs[zero_mult:]]
+    n, a = len(p) - 1, p[-1]
+    q = [c * a ** (n - 1 - i) for i, c in enumerate(p[:-1])] + [1]
+    g, h = q, [i * c for i, c in enumerate(q)][1:]
+    while h:
+        g, h = h, _pseudo_divmod(g, h)[1]
+    s = _pseudo_divmod(q, [x // g[-1] for x in g])[0]
+    ds = [i * c for i, c in enumerate(s)][1:]
+    ell = 3
+    while any(ell % d == 0 for d in range(3, isqrt(ell) + 1, 2)) or any(
+        _evaluate(s, y) % ell == 0 and _evaluate(ds, y) % ell == 0 for y in range(ell)
+    ):
+        ell += 2
+    bound = 2 * (1 + max(abs(c) for c in s))
     roots: list[tuple[Fraction, int]] = []
-    if deg == 0:
-        pass
-    elif deg == 1:
-        roots = [(-cs[0] / cs[1], 1)]
-    elif deg == 2:
-        c0, c1, c2 = cs
-        disc = c1 * c1 - 4 * c2 * c0
-        s = _fraction_sqrt(disc)
-        if s is not None:
-            if s == 0:
-                roots = [(-c1 / (2 * c2), 2)]
-            else:
-                roots = [((-c1 + s) / (2 * c2), 1), ((-c1 - s) / (2 * c2), 1)]
-    else:
-        import sympy
-
-        x = sympy.Symbol("x")
-        poly = sympy.Poly(
-            sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(cs)),
-            x,
-            domain="QQ",
-        )
-        for fac, mult in poly.factor_list()[1]:
-            if fac.degree() == 1:
-                lead, const = fac.all_coeffs()
-                root = sympy.Rational(-const, lead)
-                roots.append((Fraction(int(root.p), int(root.q)), int(mult)))
+    for r in (y for y in range(ell) if _evaluate(s, y) % ell == 0):
+        mod = ell
+        while mod <= bound:
+            mod *= mod
+            r = (r - _evaluate(s, r) * pow(_evaluate(ds, r), -1, mod)) % mod
+        r = r - mod if r > mod // 2 else r
+        mult, (quot, rem) = 0, _pseudo_divmod(q, [-r, 1])
+        while not rem:
+            mult, (quot, rem) = mult + 1, _pseudo_divmod(quot, [-r, 1])
+        if mult:
+            roots.append((Fraction(r, a), mult))
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
     roots.sort(key=lambda rm: rm[0])

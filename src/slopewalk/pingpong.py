@@ -37,6 +37,7 @@ from .eigencurve import (
     twin_index_sum_check,
 )
 from .errors import ConstraintViolated, PreconditionError, SlopewalkError
+from .serialize import json_scalar
 from .weightspace import WeightCharacter, in_boundary
 
 SCHEMA_VERSION = 1
@@ -101,7 +102,8 @@ class Assumption:
     def from_json_obj(cls, obj: dict) -> "Assumption":
         _require_object(obj, "assumption")
         move = obj.get("move")
-        return cls(str(obj["kind"]), str(obj["tag"]), None if move is None else int(move), str(obj["status"]))
+        move = None if move is None else json_scalar(move, int)
+        return cls(str(obj["kind"]), str(obj["tag"]), move, str(obj["status"]))
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,13 @@ class PingPongCertificate:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PingPongCertificate":
         _require_object(obj, "certificate")
-        if int(obj.get("schema", -1)) != SCHEMA_VERSION:
+        if json_scalar(obj.get("schema", -1), int) != SCHEMA_VERSION:
             raise PreconditionError(f"unsupported certificate schema {obj.get('schema')!r}")
-        endpoints = tuple(int(x) for x in obj["endpoints"])
+        endpoints = json_scalar(obj["endpoints"], list)
         if len(endpoints) != 2:
             raise PreconditionError("endpoints must be a pair")
         return cls(
-            endpoints,
+            tuple(json_scalar(x, int) for x in endpoints),
             tuple(Move.from_json_obj(m) for m in obj["moves"]),
             tuple(Assumption.from_json_obj(a) for a in obj.get("assumptions", [])),
         )

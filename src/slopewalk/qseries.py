@@ -63,22 +63,12 @@ class QSeries:
         return cls(tuple(cs), prec)
 
     @classmethod
-    def constant(cls, c, prec: int) -> "QSeries":
-        return cls.from_coeffs([c], prec)
-
-    @classmethod
     def zero(cls, prec: int) -> "QSeries":
         return cls.from_coeffs([], prec)
 
     @classmethod
     def one(cls, prec: int) -> "QSeries":
         return cls.from_coeffs([1], prec)
-
-    @classmethod
-    def monomial(cls, n: int, prec: int, c=1) -> "QSeries":
-        if n >= prec:
-            raise InsufficientPrecision(f"monomial q^{n} needs prec > {n}")
-        return cls.from_coeffs([0] * n + [c], prec)
 
     def __getitem__(self, n: int) -> Rat:
         if not 0 <= n < self.prec:
@@ -91,9 +81,6 @@ class QSeries:
             if c != 0:
                 return i
         return self.prec
-
-    def is_zero(self) -> bool:
-        return self.order() == self.prec
 
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
@@ -175,15 +162,6 @@ class QSeries:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QSeries":
         return cls.from_coeffs([rat_from_str(s) for s in obj["coeffs"]], int(obj["prec"]))
-
-    def reduce_mod(self, n: int) -> tuple[int, ...]:
-        """Coefficients mod n, for congruence checks. Requires integrality."""
-        out = []
-        for c in self.coeffs:
-            if not isinstance(c, int):
-                raise ValueError(f"non-integral coefficient {c} cannot be reduced mod {n}")
-            out.append(c % n)
-        return tuple(out)
 
 
 # -- standard constructors ----------------------------------------------------

@@ -31,6 +31,13 @@ def rat_from_str(s: str) -> Fraction:
     return Fraction(int(num), int(den) if slash else 1)
 
 
+def json_scalar(x, kind: type):
+    """A scalar read from JSON, if its type is exactly kind (a bool is no int)."""
+    if type(x) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(x).__name__}")
+    return x
+
+
 def json_dumps_stable(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, no whitespace drift."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)

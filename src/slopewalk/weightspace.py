@@ -42,11 +42,6 @@ class WeightCharacter:
     def label(self) -> str:
         return f"k={self.k},m={self.m}"
 
-    @classmethod
-    def from_label(cls, label: str) -> "WeightCharacter":
-        parts = dict(p.split("=", 1) for p in label.split(","))
-        return cls(int(parts["k"]), int(parts["m"]))
-
 
 def w_valuation(wc: WeightCharacter) -> Fraction:
     """Closed-form v(w) for the weight character; exact Fraction."""

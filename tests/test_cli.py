@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import slopewalk
 from slopewalk.cli import main
 
 
@@ -153,6 +158,28 @@ def test_verify_invalid_json_exit_code(capsys, tmp_path):
     code, err = run_cli_err(capsys, "verify", str(bad))
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_verify_deeply_nested_json_exit_code(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, err = run_cli_err(capsys, "verify", str(deep))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_slopes_sl2z_t2_runs_without_sympy():
+    # dim S_40 = 3: the rational-root search needs no third-party package
+    script = (
+        "import sys; sys.modules['sympy'] = None; from slopewalk.cli import main; "
+        "sys.exit(main(['slopes', '--level', 'sl2z', '--k', '40', '--op', 't2']))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "SLOPEWALK_CACHE_DIR"}
+    env["PYTHONPATH"] = str(Path(slopewalk.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["dim"] == 3 and obj["refinements"] == []
 
 
 def test_verify_non_object_json_is_a_violation(capsys, tmp_path):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopewalk.errors import InsufficientPrecision, ResidualNonzero
 from slopewalk.linalg import (
@@ -88,3 +90,27 @@ def test_rational_roots_higher_degree_uses_exact_factorization():
         coeffs = _poly_mul(coeffs, [Fraction(c) for c in factor])
     roots = dict(rational_roots(coeffs))
     assert roots == {Fraction(2): 1, Fraction(-3): 1, Fraction(1, 2): 1}
+
+
+nonzero_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(lambda r: r != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(nonzero_rationals, st.integers(1, 4), max_size=4),
+    st.booleans(),
+    st.integers(0, 3),
+    nonzero_rationals,
+)
+def test_rational_roots_recovers_the_roots_a_polynomial_was_built_from(roots, irreducible, zeros, scale):
+    # scale * X^zeros * (X^2 + 2)^[irreducible] * prod (X - r)^m
+    coeffs = [Fraction(0)] * zeros + [scale]
+    if irreducible:
+        coeffs = _poly_mul(coeffs, [Fraction(2), Fraction(0), Fraction(1)])
+    for r, m in roots.items():
+        for _ in range(m):
+            coeffs = _poly_mul(coeffs, [-r, Fraction(1)])
+    expected = dict(roots)
+    if zeros:
+        expected[Fraction(0)] = zeros
+    assert rational_roots(coeffs) == sorted(expected.items())

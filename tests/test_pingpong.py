@@ -187,6 +187,18 @@ def _with_nested_defect(kind):
         obj["assumptions"] = {"kind": "axiom"}
     elif kind == "infinite-weight":
         obj["moves"][0]["from"]["k"] = float("inf")
+    elif kind == "endpoints-string":
+        obj["endpoints"] = "35"
+    elif kind == "float-weight":
+        obj["moves"][0]["from"]["k"] = 9.9
+    elif kind == "pc-string":
+        obj["moves"][0]["from"]["pc"] = "false"
+    elif kind == "schema-string":
+        obj["schema"] = "1"
+    elif kind == "schema-bool":
+        obj["schema"] = True
+    elif kind == "m-bool":
+        obj["moves"][0]["from"]["m"] = False
     return obj
 
 
@@ -201,6 +213,12 @@ def _with_nested_defect(kind):
             "move-not-object",
             "assumptions-not-list",
             "infinite-weight",
+            "endpoints-string",
+            "float-weight",
+            "pc-string",
+            "schema-string",
+            "schema-bool",
+            "m-bool",
         )
     ],
 )

@@ -135,12 +135,6 @@ def test_json_round_trip():
     assert QSeries.from_json_obj(series.to_json_obj()) == series
 
 
-def test_reduce_mod():
-    assert delta(5).reduce_mod(8) == (0, 1, 0, 4, 0)
-    with pytest.raises(ValueError):
-        QSeries.from_coeffs([Fraction(1, 2)]).reduce_mod(3)
-
-
 small_series = st.builds(
     QSeries.from_coeffs,
     st.lists(st.integers(-9, 9), min_size=1, max_size=7),

@@ -58,7 +58,6 @@ def test_wcoordinate_and_labels():
     wc = WeightCharacter(5, 0)
     assert w_valuation(wc) == 2 and in_boundary(wc)
     assert wc.label() == "k=5,m=0"
-    assert WeightCharacter.from_label("k=5,m=0") == wc
 
 
 def test_invalid_characters_rejected():
