@@ -1,10 +1,11 @@
 """Command-line surface.
 
-Subcommands mirror the library: slopes, twin, pingpong, oc, nregular,
-hatada, wval. Primary output is deterministic schema-versioned JSON on
-stdout (byte-identical across identical invocations); --csv switches the
+Subcommands mirror the library: slopes, twin, pingpong, verify, oc,
+nregular, hatada, wval. Primary output is deterministic schema-versioned JSON
+on stdout (byte-identical across identical invocations); --csv switches the
 tabular commands to CSV. Exit codes: 0 ok, 2 precondition error,
-3 verification failure, 4 internal invariant breach.
+3 verification failure, 4 internal invariant breach or any other unexpected
+error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -24,12 +26,7 @@ from .eigencurve import (
     twin,
     twin_index_sum_check,
 )
-from .errors import (
-    InvariantError,
-    PreconditionError,
-    SlopewalkError,
-    VerificationFailure,
-)
+from .errors import InvariantError, PreconditionError, SlopewalkError, VerificationFailure
 from .overconvergent import (
     OcSlopeReport,
     oc_slopes,
@@ -57,10 +54,6 @@ from .weightspace import WeightCharacter, in_boundary, w_valuation
 SCHEMA = 1
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
-
-
 def _pretty_poly(coeffs) -> str:
     parts = []
     for i in range(len(coeffs) - 1, -1, -1):
@@ -80,34 +73,49 @@ def _pretty_poly(coeffs) -> str:
     return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
-def _point_from_args(k: int, m: int, slope_str: str) -> EigencurvePointModel:
-    return EigencurvePointModel(WeightCharacter(k, m), rat_from_str(slope_str))
+def _print_json(obj: dict) -> None:
+    print(json_dumps_stable({"schema": SCHEMA, **obj}))
 
 
-def _pos_or_flag(parser_args, positional, flag, cast):
-    """Commands mirror their documented positional form but every parameter
-    is also reachable as a flag; exactly one spelling must be used."""
-    name = positional.removesuffix("_pos")
-    pos_val = getattr(parser_args, positional)
-    flag_val = getattr(parser_args, flag)
-    if pos_val is None and flag_val is None:
-        raise PreconditionError(f"missing argument: give {name} positionally or as --{name}")
-    if pos_val is not None and flag_val is not None:
-        raise PreconditionError(f"{name} given both positionally and as --{name}")
-    return cast(pos_val if pos_val is not None else flag_val)
+def _print_violations(violations) -> int:
+    """One line per violation and exit 3, or "ok" and exit 0."""
+    for v in violations:
+        print(f"violation move={v.move} {v.code}: {v.detail}")
+    if violations:
+        return 3
+    print("ok")
+    return 0
+
+
+def _serve(args, key: dict, compute, render) -> int:
+    """The cached-payload path of slopes and oc.
+
+    The payload (JSON text) comes from the cache when it holds the key and
+    from compute() otherwise; with --verify-cache it is recomputed and
+    compared byte-for-byte with the cached one, and a mismatch exits 3.
+    render(obj) gives the CSV text and the --plot file text of the decoded
+    payload.
+    """
+    key["code"] = code_version()
+    directory = resolve_cache_dir(args.cache_dir)
+    cache = ResultCache(directory) if directory else None
+    payload = None if cache is None or args.verify_cache else cache.get(key)
+    ok = True
+    if payload is None:
+        payload = compute()
+        if cache is not None:
+            ok = not args.verify_cache or cache.verify(key, payload)
+            cache.put(key, payload)
+    csv, plot = render(json.loads(payload))
+    if args.plot:
+        with open(args.plot, args.plot_mode) as fh:
+            fh.write(plot)
+    print(csv if args.csv else payload)
+    return 0 if ok else 3
 
 
 def _cmd_slopes(args) -> int:
     level = Level(args.level)
-    key = {
-        "command": "slopes",
-        "level": args.level,
-        "k": args.k,
-        "op": args.op,
-        "p": args.p,
-        "code": code_version(),
-    }
-    cache = _open_cache(args)
 
     def compute() -> str:
         space = build_basis(level, args.k)
@@ -170,32 +178,23 @@ def _cmd_slopes(args) -> int:
         obj["matrix"] = mat_obj["matrix"]
         return json_dumps_stable(obj)
 
-    payload, ok = _cached_compute(cache, key, compute, args.verify_cache)
-    obj = json.loads(payload)
-    if args.plot:
+    def render(obj) -> tuple[str, str]:
+        slopes = [rat_from_str(entry["slope"]) for entry in obj["classification"]]
+        csv = ["k,index,slope_num,slope_den,class"] + [
+            f"{args.k},{idx},{s.numerator},{s.denominator},{entry['class']}"
+            for idx, (s, entry) in enumerate(zip(slopes, obj["classification"]))
+        ]
         # weight-vs-slope rows; appending sweeps over k builds a plot file
-        with open(args.plot, "a") as fh:
-            for entry in obj["classification"]:
-                fh.write(f"{args.k} {exact_decimal(rat_from_str(entry['slope']))}\n")
-    if args.csv:
-        lines = ["k,index,slope_num,slope_den,class"]
-        for idx, entry in enumerate(obj["classification"]):
-            s = rat_from_str(entry["slope"])
-            lines.append(f"{args.k},{idx},{s.numerator},{s.denominator},{entry['class']}")
-        _emit("\n".join(lines))
-    else:
-        _emit(payload)
-    return 0 if ok else 3
+        return "\n".join(csv), "".join(f"{args.k} {exact_decimal(s)}\n" for s in slopes)
+
+    key = {"command": "slopes", "level": args.level, "k": args.k, "op": args.op, "p": args.p}
+    return _serve(args, key, compute, render)
 
 
 def _cmd_twin(args) -> int:
-    k = _pos_or_flag(args, "k_pos", "k", int)
-    m = _pos_or_flag(args, "m_pos", "m", int)
-    slope = _pos_or_flag(args, "slope_pos", "slope", str)
-    pt = _point_from_args(k, m, slope)
+    pt = EigencurvePointModel(WeightCharacter(args.k, args.m), rat_from_str(args.slope))
     tw = twin(pt)
     obj = {
-        "schema": SCHEMA,
         "point": pt.to_json_obj(),
         "twin": tw.to_json_obj(),
         "classify": {"point": classify(pt), "twin": classify(tw)},
@@ -203,25 +202,19 @@ def _cmd_twin(args) -> int:
     if in_boundary(pt.wc):
         obj["indices"] = [annulus_index(pt), annulus_index(tw)]
         obj["index_sum_ok"] = twin_index_sum_check(pt)
-    _emit(json_dumps_stable(obj))
+    _print_json(obj)
     return 0
 
 
 def _cmd_pingpong(args) -> int:
-    cert = connect(args.i_start, args.i_end)
-    obj = cert.to_json_obj()
+    obj = connect(args.i_start, args.i_end).to_json_obj()
     payload = json_dumps_stable(obj)
     if args.emit:
         with open(args.emit, "w") as fh:
             fh.write(payload + "\n")
-    if args.verify:
-        violations = verify_certificate_json(obj)
-        if violations:
-            for v in violations:
-                _emit(f"violation move={v.move} {v.code}: {v.detail}")
-            return 3
-        _emit("ok")
-    _emit(payload)
+    if args.verify and _print_violations(verify_certificate_json(obj)):
+        return 3
+    print(payload)
     return 0
 
 
@@ -231,24 +224,15 @@ def _cmd_verify(args) -> int:
             obj = json.load(fh)
         except RecursionError:
             raise PreconditionError(f"{args.certificate}: JSON nested too deeply") from None
-    violations = verify_certificate_json(obj)
-    if violations:
-        for v in violations:
-            _emit(f"violation move={v.move} {v.code}: {v.detail}")
-        return 3
-    _emit("ok")
-    return 0
+    return _print_violations(verify_certificate_json(obj))
 
 
 def _cmd_oc(args) -> int:
     prec = args.prec if args.prec is not None else 2 * args.trunc + 8
-    key = {"command": "oc", "trunc": args.trunc, "prec": prec, "code": code_version()}
-    cache = _open_cache(args)
 
     def compute() -> str:
         op = u2_matrix_weight0(args.trunc, prec)
-        report = oc_slopes(op)
-        obj = report.to_json_obj()
+        obj = oc_slopes(op).to_json_obj()
         obj["schema"] = SCHEMA
         obj["q_prec"] = prec
         obj["integral"] = op.integral
@@ -261,102 +245,56 @@ def _cmd_oc(args) -> int:
         obj["residual_margins"] = list(op.residual_margins)
         return json_dumps_stable(obj)
 
-    payload, ok = _cached_compute(cache, key, compute, args.verify_cache)
-    obj = json.loads(payload)
-    report = OcSlopeReport(
-        obj["size"], tuple(rat_from_str(s) for s in obj["slopes"]), obj["zero_roots"], None, None
-    )
-    if args.plot:
-        with open(args.plot, "w") as fh:
-            fh.write(slopes_to_plot_data(report) + "\n")
-    if args.csv:
-        _emit(slopes_to_csv(report))
-    else:
-        _emit(payload)
-    return 0 if ok else 3
+    def render(obj) -> tuple[str, str]:
+        slopes = tuple(rat_from_str(s) for s in obj["slopes"])
+        report = OcSlopeReport(obj["size"], slopes, obj["zero_roots"], None, None)
+        return slopes_to_csv(report), slopes_to_plot_data(report) + "\n"
+
+    return _serve(args, {"command": "oc", "trunc": args.trunc, "prec": prec}, compute, render)
 
 
 def _cmd_nregular(args) -> int:
-    a = _pos_or_flag(args, "a_pos", "a", str)
-    k = _pos_or_flag(args, "k_pos", "k", int)
-    p = _pos_or_flag(args, "p_pos", "p", int)
-    n = _pos_or_flag(args, "n_pos", "n", int)
-    order = ratio_order(rat_from_str(a), k, p)
-    answer = is_n_regular(rat_from_str(a), k, p, n)
-    obj = {
-        "schema": SCHEMA,
-        "a": a,
-        "k": k,
-        "p": p,
-        "n": n,
-        "ratio_order": "infinite" if not isinstance(order, int) else order,
-        "n_regular": answer,
-    }
-    _emit(json_dumps_stable(obj))
+    a = rat_from_str(args.a)
+    order = ratio_order(a, args.k, args.p)
+    _print_json({"a": args.a, "k": args.k, "p": args.p, "n": args.n,
+                 "ratio_order": order if isinstance(order, int) else "infinite",
+                 "n_regular": is_n_regular(a, args.k, args.p, args.n)})
     return 0
 
 
 def _cmd_hatada(args) -> int:
-    ks = list(range(12, args.kmax + 1, 2))
-    report = hatada_check(ks)
-    obj = {
-        "schema": SCHEMA,
-        "entries": [
-            {
-                "k": e.k,
-                "dim": e.dim,
-                "charpoly": [rat_to_str(Fraction(c)) for c in e.charpoly],
-                "mod3_ok": e.mod3_ok,
-                "mod8_ok": e.mod8_ok,
-                "constant_nonzero": e.constant_nonzero,
-                "slopes_positive": e.slopes_positive,
-                "passed": e.passed,
-            }
-            for e in report.entries
-        ],
-        "all_passed": report.all_passed,
-    }
-    _emit(json_dumps_stable(obj))
+    report = hatada_check(range(12, args.kmax + 1, 2))
+    entries = [
+        {**asdict(e), "charpoly": [rat_to_str(Fraction(c)) for c in e.charpoly], "passed": e.passed}
+        for e in report.entries
+    ]
+    _print_json({"entries": entries, "all_passed": report.all_passed})
     return 0 if report.all_passed else 3
 
 
 def _cmd_wval(args) -> int:
-    k = _pos_or_flag(args, "k_pos", "k", int)
-    m = _pos_or_flag(args, "m_pos", "m", int)
-    wc = WeightCharacter(k, m)
-    v = w_valuation(wc)
-    obj = {
-        "schema": SCHEMA,
-        "k": k,
-        "m": m,
-        "v_w": rat_to_str(v),
-        "in_boundary": in_boundary(wc),
-    }
-    _emit(json_dumps_stable(obj))
+    wc = WeightCharacter(args.k, args.m)
+    v_w = rat_to_str(w_valuation(wc))
+    _print_json({"k": args.k, "m": args.m, "v_w": v_w, "in_boundary": in_boundary(wc)})
     return 0
 
 
-def _open_cache(args) -> ResultCache | None:
-    directory = resolve_cache_dir(getattr(args, "cache_dir", None))
-    return ResultCache(directory) if directory else None
+def _dual(p, name: str, type=None, help=None) -> None:
+    """Declare parameter `name` both as an optional positional (stored as
+    `name_pos`) and as the flag --name; main() requires exactly one of the
+    two spellings and stores its value as args.name."""
+    p.add_argument(f"{name}_pos", metavar=name, nargs="?", type=type, help=help)
+    p.add_argument(f"--{name}", type=type)
 
 
-def _cached_compute(cache, key, compute, verify_cache: bool) -> tuple[str, bool]:
-    """Returns (payload, ok). With --verify-cache the cached payload is
-    compared byte-for-byte against a fresh recomputation."""
-    if cache is None:
-        return compute(), True
-    if verify_cache:
-        fresh = compute()
-        ok = cache.verify(key, fresh)
-        cache.put(key, fresh)
-        return fresh, ok
-    cached = cache.get(key)
-    if cached is not None:
-        return cached, True
-    fresh = compute()
-    cache.put(key, fresh)
-    return fresh, True
+def _payload_flags(p, plot_help: str, plot_mode: str) -> None:
+    """The output and cache flags of the cached-payload commands (_serve)."""
+    p.add_argument("--json", action="store_true", help="JSON output (default)")
+    p.add_argument("--csv", action="store_true")
+    p.add_argument("--plot", default=None, help=plot_help)
+    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--verify-cache", action="store_true")
+    p.set_defaults(plot_mode=plot_mode)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,21 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--op", required=True, choices=["t2", "u2", "tp"])
     p.add_argument("--p", type=int, default=None, help="prime for --op tp")
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--plot", default=None, help="append 'k slope' rows to this data file")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--verify-cache", action="store_true")
+    _payload_flags(p, "append 'k slope' rows to this data file", "a")
     p.set_defaults(func=_cmd_slopes)
 
     p = sub.add_parser("twin", help="twin point and index bookkeeping")
-    p.add_argument("k_pos", metavar="k", nargs="?", type=int, default=None)
-    p.add_argument("m_pos", metavar="m", nargs="?", type=int, default=None)
-    p.add_argument("slope_pos", metavar="slope", nargs="?", default=None,
-                   help="rational, e.g. 2 or 7/8")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--slope", default=None)
+    _dual(p, "k", int)
+    _dual(p, "m", int)
+    _dual(p, "slope", help="rational, e.g. 2 or 7/8")
     p.set_defaults(func=_cmd_twin)
 
     p = sub.add_parser("pingpong", help="emit (and optionally verify) a walk certificate")
@@ -404,23 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oc", help="truncated weight-0 U_2 slopes")
     p.add_argument("--trunc", required=True, type=int, help="truncation size N")
     p.add_argument("--prec", type=int, default=None, help="q-precision (default 2N+8)")
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--plot", default=None, help="write gnuplot-ready data to this file")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--verify-cache", action="store_true")
+    _payload_flags(p, "write gnuplot-ready data to this file", "w")
     p.set_defaults(func=_cmd_oc)
 
     p = sub.add_parser("nregular", help="n-regularity of a refinement ratio")
-    p.add_argument("a_pos", metavar="a", nargs="?", default=None,
-                   help="Hecke eigenvalue a_p (rational)")
-    p.add_argument("k_pos", metavar="k", nargs="?", type=int, default=None)
-    p.add_argument("p_pos", metavar="p", nargs="?", type=int, default=None)
-    p.add_argument("n_pos", metavar="n", nargs="?", type=int, default=None)
-    p.add_argument("--a", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    _dual(p, "a", help="Hecke eigenvalue a_p (rational)")
+    _dual(p, "k", int)
+    _dual(p, "p", int)
+    _dual(p, "n", int)
     p.set_defaults(func=_cmd_nregular)
 
     p = sub.add_parser("hatada", help="congruence/non-ordinarity sweep over level-1 weights")
@@ -428,19 +349,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hatada)
 
     p = sub.add_parser("wval", help="weight-coordinate valuation and boundary membership")
-    p.add_argument("k_pos", metavar="k", nargs="?", type=int, default=None)
-    p.add_argument("m_pos", metavar="m", nargs="?", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    _dual(p, "k", int)
+    _dual(p, "m", int)
     p.set_defaults(func=_cmd_wval)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        # the parameters declared by _dual, in declaration order
+        for name in [d.removesuffix("_pos") for d in vars(args) if d.endswith("_pos")]:
+            given = [v for v in (getattr(args, f"{name}_pos"), getattr(args, name)) if v is not None]
+            if not given:
+                raise PreconditionError(f"missing argument: give {name} positionally or as --{name}")
+            if len(given) == 2:
+                raise PreconditionError(f"{name} given both positionally and as --{name}")
+            setattr(args, name, given[0])
         return args.func(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -454,6 +380,9 @@ def main(argv=None) -> int:
     except (SlopewalkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal invariant breach: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -14,9 +14,10 @@ fast big-integer path).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import InsufficientPrecision, ResidualNonzero
+from .padic import is_prime
 
 Matrix = list[list]
 
@@ -197,7 +198,7 @@ def rational_roots(coeffs) -> list[tuple[Fraction, int]]:
     s = _pseudo_divmod(q, [x // g[-1] for x in g])[0]
     ds = [i * c for i, c in enumerate(s)][1:]
     ell = 3
-    while any(ell % d == 0 for d in range(3, isqrt(ell) + 1, 2)) or any(
+    while not is_prime(ell) or any(
         _evaluate(s, y) % ell == 0 and _evaluate(ds, y) % ell == 0 for y in range(ell)
     ):
         ell += 2

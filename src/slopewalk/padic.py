@@ -86,6 +86,39 @@ def val(x, p: int) -> Valuation:
     return Fraction(v)
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality test by deterministic Miller-Rabin, fast for every n
+    below 3.3 * 10^24; ValueError above, where no fixed set of bases is
+    proven to decide primality."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is not decided above {_MR_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Segment:
     """One face of a lower convex hull: its slope and horizontal length."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, gcd, isqrt
+from math import ceil, gcd
 
 from . import linalg
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     RepeatedRoot,
 )
-from .padic import INFINITY, Valuation, newton_slopes, val
+from .padic import INFINITY, Valuation, is_prime, newton_slopes, val
 from .qseries import QSeries, _norm, hecke_t_p, standard_series, theta, u_p
 from .serialize import rat_to_str
 
@@ -234,7 +234,7 @@ def operator_matrix(op: str, space: SpaceBasis, p: int | None = None) -> Operato
     elif op == "tp":
         if p is None:
             raise PreconditionError("tp needs an explicit prime p")
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        if not is_prime(p):
             raise PreconditionError(f"p must be prime, got {p}")
         if gcd(p, space.level.conductor) != 1:
             raise PreconditionError(f"T_{p} requires p coprime to the conductor")
@@ -329,8 +329,17 @@ def ratio_order(a_p, k: int, p: int):
     Returns a positive integer (2, 3, 4 or 6) when the ratio is a root of
     unity and INFINITY otherwise. The classification is by t = a_p^2/p^(k-1);
     it matches the brute-force quadratic-field oracle exactly (tested).
+    t is 1, 2, 3 or 4 (a repeated root) only when v_p(t) = 2 v_p(a_p) - (k-1)
+    is 0, 1 or 2, so p^(k-1) is formed only then: a huge |k| is decided by
+    valuations alone.
     """
+    if not is_prime(p):
+        raise PreconditionError(f"p must be prime, got {p}")
     a_p = Fraction(a_p)
+    if a_p == 0:
+        return _RATIO_ORDER_BY_T[0]
+    if not 0 <= 2 * val(a_p, p) - (k - 1) <= 2:
+        return INFINITY
     pk = Fraction(p) ** (k - 1)
     if a_p * a_p == 4 * pk:
         raise RepeatedRoot(f"a_p^2 = 4 p^(k-1) for a_p={a_p}, k={k}, p={p}")

@@ -10,6 +10,11 @@ w = (character value at 5) - 1 matters downstream, and it has a closed form:
 
 (k=2, m=0) is the center w = 0 and is rejected. The boundary annulus is
 0 < v(w) < 3, i.e. |8| < |w| < 1.
+
+The wild exponent is bounded by MAX_WILD_EXPONENT, so that v(w) = 2^(1-m)
+stays a small exact rational whatever m a caller or a certificate supplies.
+The bound is far above the m <= 65 that the walk planner uses for annulus
+indices below 2^63.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from fractions import Fraction
 
 from .errors import CenterOfWeightSpace
 from .padic import val
+
+MAX_WILD_EXPONENT = 4096
 
 
 @dataclass(frozen=True, order=True)
@@ -38,6 +45,8 @@ class WeightCharacter:
             raise ValueError(f"algebraic weight must be >= 2, got {self.k}")
         if self.m < 0:
             raise ValueError(f"wild exponent must be >= 0, got {self.m}")
+        if self.m > MAX_WILD_EXPONENT:
+            raise ValueError(f"wild exponent must be <= {MAX_WILD_EXPONENT}, got {self.m}")
 
     def label(self) -> str:
         return f"k={self.k},m={self.m}"

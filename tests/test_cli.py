@@ -1,11 +1,22 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 import slopewalk
-from slopewalk.cli import main
+from slopewalk.cli import build_parser, main
+from slopewalk.pingpong import connect
+
+# environment of a child interpreter that imports this checkout, uncached
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "SLOPEWALK_CACHE_DIR"}
+CHILD_ENV["PYTHONPATH"] = str(Path(slopewalk.__file__).parents[1])
 
 
 def run_cli(capsys, *argv):
@@ -174,9 +185,7 @@ def test_slopes_sl2z_t2_runs_without_sympy():
         "import sys; sys.modules['sympy'] = None; from slopewalk.cli import main; "
         "sys.exit(main(['slopes', '--level', 'sl2z', '--k', '40', '--op', 't2']))"
     )
-    env = {k: v for k, v in os.environ.items() if k != "SLOPEWALK_CACHE_DIR"}
-    env["PYTHONPATH"] = str(Path(slopewalk.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     obj = json.loads(proc.stdout)
     assert obj["dim"] == 3 and obj["refinements"] == []
@@ -258,3 +267,159 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     code, _ = run_cli(capsys, "oc", "--trunc", "4")
     assert code == 0
     assert list((tmp_path / "envcache").glob("*.json"))
+
+
+def test_dual_parameters_take_either_spelling(capsys):
+    for argv in (["twin", "11", "0", "2"], ["twin", "--k", "11", "--m", "0", "--slope", "2"],
+                 ["twin", "11", "--slope", "2", "--m", "0"]):
+        code, obj = run_json(capsys, *argv)
+        assert code == 0 and obj["indices"] == [1, 4]
+    code, obj = run_json(capsys, "wval", "--m", "0", "--k", "5")
+    assert code == 0 and obj["v_w"] == "2/1"
+    code, obj = run_json(capsys, "nregular", "-24", "12", "--n", "9", "--p", "2")
+    assert code == 0 and obj["n_regular"] is True
+
+
+def test_dual_parameters_need_exactly_one_spelling(capsys):
+    code, err = run_cli_err(capsys, "wval", "5", "0", "--k", "5")
+    assert (code, err) == (2, "error: k given both positionally and as --k\n")
+    code, err = run_cli_err(capsys, "twin", "--k", "11", "--m", "0")
+    assert (code, err) == (2, "error: missing argument: give slope positionally or as --slope\n")
+    code, err = run_cli_err(capsys, "nregular")
+    assert (code, err) == (2, "error: missing argument: give a positionally or as --a\n")
+
+
+@pytest.mark.parametrize("p", ["0", "1", "-3"])
+def test_nregular_non_prime_p_exit_code(capsys, p):
+    code, err = run_cli_err(capsys, "nregular", "1", "12", p, "3")
+    assert code == 2
+    assert err == f"error: p must be prime, got {p}\n"
+
+
+def test_unexpected_exception_exit_code(capsys, monkeypatch):
+    import slopewalk.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("synthetic")
+
+    monkeypatch.setattr(cli, "build_basis", broken)
+    code, err = run_cli_err(capsys, "slopes", "--level", "sl2z", "--k", "12", "--op", "t2")
+    assert (code, err) == (4, "internal invariant breach: ZeroDivisionError: synthetic\n")
+
+
+# -- inputs that once built powers of about 10^11 bits ------------------------
+
+LIMITED_CLI = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from slopewalk.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+HUGE = "100000000000"
+
+
+def run_limited(*argv):
+    """The CLI in a child process under a 1 GB address-space limit and a
+    timeout, so a runaway allocation fails the test instead of the host."""
+    return subprocess.run([sys.executable, "-c", LIMITED_CLI, *argv], capture_output=True,
+                          text=True, env=CHILD_ENV, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [["wval", "3", HUGE], ["twin", "3", HUGE, "1"]],
+                         ids=["wval", "twin"])
+def test_huge_wild_exponent_exit_code(argv):
+    proc = run_limited(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: wild exponent must be <= 4096, got {HUGE}\n"
+
+
+def test_verify_huge_wild_exponent_is_malformed(tmp_path):
+    cert = connect(3, 5).to_json_obj()
+    cert["moves"][0]["from"]["m"] = 2**40
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    proc = run_limited("verify", str(path))
+    assert proc.returncode == 3
+    assert proc.stdout.startswith("violation move=None Malformed: ValueError: wild exponent")
+    assert len(proc.stdout.splitlines()) == 1
+
+
+@pytest.mark.parametrize("k", [HUGE, "-" + HUGE])
+def test_nregular_huge_weight(k):
+    proc = run_limited("nregular", "1", k, "2", "3")
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["ratio_order"] == "infinite" and obj["n_regular"] is True
+
+
+# -- argv fuzz over the parser's own vocabulary -------------------------------
+
+PARSER = build_parser()
+COMMANDS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+FILE_DESTS = {"certificate", "plot", "emit", "cache_dir"}
+FILE_NAMES = ["cert.json", "bad.json", "missing.json", "out.dat", "cache", "."]
+
+
+def _values(action):
+    """Strings for one argument: its choices, a file name in the working
+    directory, or small ints, rationals and arbitrary text (bounded so that
+    every command stays fast: weights and indices <= 40, trunc <= 12)."""
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.dest in FILE_DESTS:
+        return st.sampled_from(FILE_NAMES)
+    top = 12 if action.dest == "trunc" else 40
+    ints = st.one_of(st.integers(-3, 3), st.integers(-3, top)).map(str)  # often near 0
+    rationals = st.builds("{}/{}".format, st.integers(-99, 99), st.integers(-2, 9))
+    other = st.one_of(rationals, st.text(max_size=6))
+    if action.type is int:  # nine in ten well-formed, so that commands run
+        return st.integers(0, 9).flatmap(lambda i: ints if i else other)
+    return st.one_of(ints, other)
+
+
+@st.composite
+def argvs(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    actions = [a for a in COMMANDS[name]._actions if not isinstance(a, argparse._HelpAction)]
+    # A parameter of twin, wval or nregular is a positional and a flag of the
+    # same name: give them all one way, required arguments always and other
+    # flags sometimes, then perhaps one repeated or extra argument.
+    dual = {a.metavar for a in actions if not a.option_strings} & {a.dest for a in actions}
+    as_flags = draw(st.booleans())
+
+    def wanted(a):
+        if a.dest in dual or a.metavar in dual:
+            return bool(a.option_strings) == as_flags
+        return a.required or draw(st.integers(0, 9)) < 3
+
+    picked = [a for a in actions if wanted(a)]
+    picked += draw(st.lists(st.sampled_from(actions), max_size=1))
+    options = [a for a in picked if a.option_strings]
+    positionals = [a for a in picked if not a.option_strings]
+    if draw(st.booleans()):  # options first, positionals in declaration order
+        order = draw(st.permutations(options)) + positionals
+    else:
+        order = draw(st.permutations(picked))
+    argv = [name]
+    for action in order:
+        if action.option_strings:
+            argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs != 0:
+            argv.append(draw(_values(action)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_cli_exit_codes_are_total(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("SLOPEWALK_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    Path("cert.json").write_text(json.dumps(connect(3, 5).to_json_obj()))
+    Path("bad.json").write_text("{not json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --version
+            code = exc.code
+    assert code in {0, 2, 3, 4}, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

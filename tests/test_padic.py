@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from slopewalk.errors import EmptyPolynomial
 from slopewalk.fixtures import fixture_value
-from slopewalk.padic import INFINITY, NewtonPolygon, newton_slopes, val
+from slopewalk.padic import INFINITY, NewtonPolygon, is_prime, newton_slopes, val
 from slopewalk.serialize import rat_from_str
 
 
@@ -15,6 +16,20 @@ def test_val_examples():
     assert val(0, 2) is INFINITY
     assert val(Fraction(3, 8), 2) == -3
     assert val(Fraction(9, 5), 3) == 2
+
+
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(-3, 20000) if is_prime(n)] == [n for n in range(-3, 20000) if trial(n)]
+    # strong pseudoprimes to the bases 2..23 and 2..37; Carmichael numbers
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, 561, 41041):
+        assert not is_prime(n)
+    for n in (2**31 - 1, 2**61 - 1, 10**18 + 3):
+        assert is_prime(n)
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
 
 
 def test_val_5pow10_matches_oracle_fixture():

@@ -9,7 +9,7 @@ from slopewalk.errors import (
     PreconditionError,
     RepeatedRoot,
 )
-from slopewalk.fixtures import fixture_value
+from slopewalk.fixtures import _nquad_ratio_order, fixture_value
 from slopewalk.padic import INFINITY, newton_slopes
 from slopewalk.qseries import delta, u_p
 from slopewalk.serialize import rat_from_str
@@ -234,6 +234,30 @@ def test_ratio_order_examples():
     assert ratio_order(-4, 5, 2) == 3  # t = 1, the seed form
     with pytest.raises(RepeatedRoot):
         ratio_order(4, 3, 2)  # a^2 = 4 p^(k-1)
+
+
+def test_ratio_order_matches_oracle_across_valuations():
+    # a = +-c p^e for every e the finite orders need, and beyond, so that the
+    # valuation test that skips p^(k-1) is exercised on both of its sides
+    for p in (2, 3, 5):
+        for k in range(-6, 19):
+            for e in range(-4, 11):
+                for c in (1, 2, 3, Fraction(7, 4)):
+                    for a in (c * Fraction(p) ** e, -c * Fraction(p) ** e):
+                        oracle = _nquad_ratio_order(a, k, p)
+                        if oracle == "repeated":
+                            with pytest.raises(RepeatedRoot):
+                                ratio_order(a, k, p)
+                            continue
+                        mine = ratio_order(a, k, p)
+                        assert ("infinite" if mine is INFINITY else mine) == oracle, (a, k, p)
+    assert ratio_order(0, 7, 3) == 2
+
+
+@pytest.mark.parametrize("p", [0, 1, -3, 4, 12])
+def test_ratio_order_rejects_non_prime_p(p):
+    with pytest.raises(PreconditionError, match="p must be prime"):
+        ratio_order(1, 12, p)
 
 
 def test_is_n_regular():

@@ -7,7 +7,7 @@ from slopewalk.errors import CenterOfWeightSpace
 from slopewalk.fixtures import fixture_value
 from slopewalk.padic import val
 from slopewalk.serialize import rat_from_str
-from slopewalk.weightspace import WeightCharacter, in_boundary, w_valuation
+from slopewalk.weightspace import MAX_WILD_EXPONENT, WeightCharacter, in_boundary, w_valuation
 
 
 def test_w_valuation_examples():
@@ -15,6 +15,13 @@ def test_w_valuation_examples():
     assert w_valuation(WeightCharacter(12, 0)) == 3  # 2 + v(10)
     assert w_valuation(WeightCharacter(7, 3)) == Fraction(1, 4)  # 2^(1-m)
     assert w_valuation(WeightCharacter(2, 1)) == 1
+
+
+def test_wild_exponent_is_bounded():
+    top = WeightCharacter(3, MAX_WILD_EXPONENT)
+    assert w_valuation(top) == Fraction(1, 2 ** (MAX_WILD_EXPONENT - 1))
+    with pytest.raises(ValueError, match="wild exponent"):
+        WeightCharacter(3, MAX_WILD_EXPONENT + 1)
 
 
 def test_w_valuation_k12_matches_big_integer_oracle():
