@@ -48,6 +48,7 @@ from .spaces import (
     operator_matrix,
     ratio_order,
     refinement,
+    tp_precision,
 )
 from .weightspace import WeightCharacter, in_boundary, w_valuation
 
@@ -118,7 +119,8 @@ def _cmd_slopes(args) -> int:
     level = Level(args.level)
 
     def compute() -> str:
-        space = build_basis(level, args.k)
+        prec_hint = tp_precision(level, args.k, args.p) if args.op == "tp" else None
+        space = build_basis(level, args.k, prec_hint)
         if level is Level.SL2Z:
             space = cusp_subspace_level1(space)
         if space.dim == 0:

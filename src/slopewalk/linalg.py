@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InsufficientPrecision, ResidualNonzero
 from .padic import is_prime
@@ -113,35 +114,40 @@ def charpoly(mat: Matrix) -> list:
     """Characteristic polynomial det(X I - M), coefficients ascending c_0..c_n.
 
     Division-free (Berkowitz), so integer matrices produce integer
-    coefficients with no Fraction overhead. c_n = 1.
+    coefficients with no Fraction overhead. c_n = 1. Step r extends the
+    charpoly of the leading r x r minor A to that of the (r+1) x (r+1) one by
+    convolving it with the Toeplitz column 1, -m_rr, -R C, -R A C, ...,
+    -R A^(r-1) C, where R and C are row r and column r cut to the minor.
+    Each row enters a product only over the span of its nonzero columns
+    (the weight-0 U_2 matrix is nonzero only for j/2 <= i <= 2j, so this
+    skips about half of it), and every inner product, the convolution's
+    included, is one sum(map(mul, ...)) over list slices.
     """
     n = len(mat)
     if n == 0:
         return [1]
     if any(len(row) != n for row in mat):
         raise ValueError("charpoly needs a square matrix")
+    spans = []  # [first, last + 1) of each row's nonzero columns
+    for row in mat:
+        nonzero = [j for j, x in enumerate(row) if x]
+        spans.append((nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0))
     # v holds the charpoly of the leading principal minor, highest degree first
     v = [1, -mat[0][0]]
     for r in range(1, n):
-        row = mat[r][:r]
-        col = [mat[i][r] for i in range(r)]
-        sub = [mat[i][:r] for i in range(r)]
-        # s_k = row . sub^k . col for k = 0..r-1
-        s = []
-        w = col[:]
+        bands = [(mat[i], lo, min(hi, r)) for i, (lo, hi) in enumerate(spans[:r])]
+        lo, hi = spans[r][0], min(spans[r][1], r)
+        row = mat[r][lo:hi]
+        w = [mat[i][r] for i in range(r)]  # A^k C
+        s = []  # s_k = R A^k C for k = 0..r-1
         for k in range(r):
-            s.append(sum(row[i] * w[i] for i in range(r)))
+            s.append(sum(map(mul, row, w[lo:hi])))
             if k < r - 1:
-                w = [sum(sub[i][t] * w[t] for t in range(r)) for i in range(r)]
-        first_col = [1, -mat[r][r]] + [-x for x in s]
-        nxt = [0] * (r + 2)
-        for i in range(r + 2):
-            acc = 0
-            for t in range(min(i, len(v) - 1) + 1):
-                if i - t < len(first_col):
-                    acc += first_col[i - t] * v[t]
-            nxt[i] = acc
-        v = nxt
+                w = [sum(map(mul, a[a_lo:a_hi], w[a_lo:a_hi])) for a, a_lo, a_hi in bands]
+        # the Toeplitz column reversed: coefficient i of the product pairs
+        # its last i + 1 entries with v[0..i]
+        column = [-x for x in reversed(s)] + [-mat[r][r], 1]
+        v = [sum(map(mul, column[r + 1 - i:], v)) for i in range(r + 2)]
     return list(reversed(v))
 
 

@@ -118,11 +118,11 @@ def u2_matrix_weight0(n: int, prec: int) -> TruncatedCompactOperator:
     col_vals: list[Fraction | None] = []
     for j in range(n):
         nonzero = [matrix[i][j] for i in range(j, n) if matrix[i][j] != 0]
-        col_vals.append(min((Fraction(val(c, 2)) for c in nonzero), default=None))
+        col_vals.append(min((val(c, 2) for c in nonzero), default=None))
     row_vals: list[Fraction | None] = []
     for i in range(n):
         nonzero = [matrix[i][j] for j in range(n) if matrix[i][j] != 0]
-        row_vals.append(min((Fraction(val(c, 2)) for c in nonzero), default=None))
+        row_vals.append(min((val(c, 2) for c in nonzero), default=None))
     integral = all(
         isinstance(matrix[i][j], int) for i in range(n) for j in range(n)
     )

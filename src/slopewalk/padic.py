@@ -67,6 +67,10 @@ def val(x, p: int) -> Valuation:
 
     ``x`` may be an int, Fraction, or any Rational. ``p`` must be prime
     (primality is the caller's responsibility; only p >= 2 is enforced).
+    The cost does not grow with the valuation one division at a time: for
+    p = 2 it is read off the lowest set bit of numerator and denominator,
+    and for odd p the factors p, p^2, p^4, ... are stripped by repeated
+    squaring, then the same powers downward.
     """
     if p < 2:
         raise ValueError(f"p must be a prime >= 2, got {p}")
@@ -76,14 +80,24 @@ def val(x, p: int) -> Valuation:
         raise TypeError(f"val expects a rational number, got {type(x).__name__}")
     if num == 0:
         return INFINITY
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return Fraction(v)
+    if p == 2:
+        return Fraction((num & -num).bit_length() - (den & -den).bit_length())
+    return Fraction(_multiplicity(num, p) - _multiplicity(den, p))
+
+
+def _multiplicity(n: int, p: int) -> int:
+    """The largest e with p^e | n, for n != 0: divide by p, p^2, p^4, ...
+    while each divides, then try the same powers again from the top down."""
+    powers, e = [p], 0
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        e += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for j in range(len(powers) - 2, -1, -1):
+        if n % powers[j] == 0:
+            n //= powers[j]
+            e += 1 << j
+    return e
 
 
 # Miller-Rabin to the first 13 prime bases is exact below this bound
@@ -176,7 +190,7 @@ class NewtonPolygon:
         Zero roots (a leading X^j factor) are excluded from the hull and
         reported via ``zero_root_multiplicity``.
         """
-        vals = [(i, val(Fraction(c), p)) for i, c in enumerate(coeffs)]
+        vals = [(i, val(c, p)) for i, c in enumerate(coeffs)]
         finite = [(i, v) for i, v in vals if v is not INFINITY]
         if not finite:
             raise EmptyPolynomial("all coefficients are zero")

@@ -280,6 +280,8 @@ def v_p(a: QSeries, p: int) -> QSeries:
     return QSeries(tuple(out), out_prec)
 
 
-def hecke_t_p(a: QSeries, k: int, p: int) -> QSeries:
-    """T_p = U_p + p^(k-1) V_p on a weight-k level-1 (trivial character) form."""
-    return u_p(a, p) + v_p(a, p).scalar_mul(Fraction(p) ** (k - 1))
+def hecke_t_p(a: QSeries, k: int, p: int, chi_p: int = 1) -> QSeries:
+    """T_p = U_p + chi(p) p^(k-1) V_p on a weight-k form with nebentypus chi,
+    for p not dividing the level; chi_p = chi(p) is 1 for a trivial
+    character. Output precision floor(prec/p), as for U_p."""
+    return u_p(a, p) + v_p(a, p).scalar_mul(chi_p * Fraction(p) ** (k - 1))

@@ -154,6 +154,32 @@ def build_basis(level: Level, k: int, prec_hint: int | None = None) -> SpaceBasi
     return space
 
 
+# T_p keeps one q-coefficient in p (its U_p term), so its basis is built at
+# q-precision p (sturm + dim + 10), leaving the certified solve the
+# sturm + dim + 10 rows; the build time grows with the square of that
+# precision (1457 for gamma1_4, k = 24, p = 31: about 5 s), and larger
+# requests are refused.
+TP_MAX_PREC = 1500
+
+
+def tp_precision(level: Level, k: int, p: int | None) -> int | None:
+    """The basis q-precision p (sturm + dim + 10) for T_p on M_k(level).
+
+    None when p is None (operator_matrix then asks for it); a PreconditionError
+    when the weight is not admissible or the precision exceeds TP_MAX_PREC.
+    """
+    _check_weight(level, k)
+    if p is None:
+        return None
+    prec = p * (sturm_bound(level, k) + expected_dimension(level, k) + 10)
+    if prec > TP_MAX_PREC:
+        raise PreconditionError(
+            f"T_{p} on weight {k} at level {level.value} needs q-precision {prec} "
+            f"> {TP_MAX_PREC}"
+        )
+    return prec
+
+
 def cusp_subspace_level1(space: SpaceBasis) -> SpaceBasis:
     """Echelonized a_0 = 0 subspace of a level-1 space.
 
@@ -211,7 +237,9 @@ def _apply_operator(op: str, p: int | None, space: SpaceBasis, series: QSeries) 
     if op == "t2":
         return hecke_t_p(series, space.k, 2)
     if op == "tp":
-        return hecke_t_p(series, space.k, p)
+        # M_k(Gamma_1(4)) = M_k(Gamma_0(4), chi_4^k), chi_4(p) = (-1)^((p-1)/2)
+        chi_p = (-1) ** space.k if space.level is Level.GAMMA1_4 and p % 4 == 3 else 1
+        return hecke_t_p(series, space.k, p, chi_p)
     raise ValueError(f"unknown operator {op!r}")
 
 
@@ -309,7 +337,7 @@ class RefinementModel:
 
 def refinement(a_p, k: int, p: int) -> RefinementModel:
     a_p = Fraction(a_p)
-    slopes = newton_slopes([p ** (k - 1), -a_p, 1], p)
+    slopes = newton_slopes([Fraction(p) ** (k - 1), -a_p, 1], p)
     if len(slopes) != 2:
         raise InvariantError(f"Hecke polynomial produced {len(slopes)} slopes")
     lo, hi = slopes

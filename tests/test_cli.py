@@ -211,6 +211,43 @@ def test_slopes_tp_composite_p_exit_code(capsys):
     assert "p must be prime" in err
 
 
+# every admissible weight k <= 24 at each level, T_p for p in {3, 5, 7}
+TP_SWEEP = [
+    (level, k, p)
+    for level, weights in (("sl2z", [0] + list(range(4, 25, 2))),
+                           ("gamma0_2", range(0, 25, 2)),
+                           ("gamma1_4", range(1, 25)))
+    for k in weights
+    for p in (3, 5, 7)
+]
+# exit 4 (nebentypus) or 2 (q-precision not scaled with p) in earlier versions
+TP_FORMERLY_FAILING = [
+    ("gamma1_4", 3, 3), ("gamma1_4", 5, 3), ("sl2z", 24, 7),
+    ("sl2z", 40, 37), ("gamma1_4", 9, 7), ("gamma1_4", 24, 31),
+]
+
+
+def test_slopes_tp_sweep_exits_0(capsys):
+    failures = []
+    for level, k, p in TP_SWEEP:
+        code, err = run_cli_err(capsys, "slopes", "--level", level, "--k", str(k), "--op", "tp", "--p", str(p))
+        if code != 0:
+            failures.append((level, k, p, code, err))
+    assert not failures
+
+
+@pytest.mark.parametrize("level,k,p", TP_FORMERLY_FAILING)
+def test_slopes_tp_formerly_failing_exits_0(capsys, level, k, p):
+    code, err = run_cli_err(capsys, "slopes", "--level", level, "--k", str(k), "--op", "tp", "--p", str(p))
+    assert code == 0, err
+
+
+def test_slopes_tp_precision_cap_exit_code(capsys):
+    code, err = run_cli_err(capsys, "slopes", "--level", "gamma1_4", "--k", "24", "--op", "tp", "--p", "37")
+    assert code == 2
+    assert "needs q-precision 1739 > 1500" in err
+
+
 def test_invariant_breach_exit_code(capsys, monkeypatch):
     import slopewalk.cli as cli
     from slopewalk.errors import InvariantError

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -114,3 +115,52 @@ def test_rational_roots_recovers_the_roots_a_polynomial_was_built_from(roots, ir
     if zeros:
         expected[Fraction(0)] = zeros
     assert rational_roots(coeffs) == sorted(expected.items())
+
+
+# -- charpoly against the Leibniz expansion of det(X I - M) --------------------
+
+def _leibniz_charpoly(m):
+    """det(X I - M) as the signed sum over permutations of products of the
+    entries X delta_ij - m_ij, each a polynomial of degree <= 1."""
+    n = len(m)
+    total = [Fraction(0)] * (n + 1)
+    for perm in permutations(range(n)):
+        if any(i != j and m[i][j] == 0 for i, j in enumerate(perm)):
+            continue  # a zero factor
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = [Fraction((-1) ** inversions)]
+        for i, j in enumerate(perm):
+            term = _poly_mul(term, [-Fraction(m[i][j]), Fraction(int(i == j))])
+        for d, c in enumerate(term):
+            total[d] += c
+    return total
+
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(-(10**12), 10**12),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=30),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """n <= 6 integer or Fraction matrices with zero rows, zero columns and
+    rows whose nonzero span ends before the diagonal."""
+    n = draw(st.integers(1, 6))
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    indices = st.sets(st.integers(0, n - 1), max_size=n)
+    for i in draw(indices):
+        m[i] = [0] * n
+    for j in draw(indices):
+        for row in m:
+            row[j] = 0
+    for i in draw(indices):  # row i nonzero only left of the diagonal
+        m[i][i:] = [0] * (n - i)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_charpoly_matches_leibniz_expansion(m):
+    assert charpoly(m) == _leibniz_charpoly(m)

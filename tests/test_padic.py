@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slopewalk.errors import EmptyPolynomial
 from slopewalk.fixtures import fixture_value
@@ -120,3 +120,36 @@ def test_hull_is_permutation_invariant_and_monotone(points, seed):
     assert slopes == sorted(slopes)
     assert len(set(slopes)) == len(slopes), "segment slopes strictly increase"
     assert sum(seg.length for seg in polygon.hull) == max(x for x, _ in points) - min(x for x, _ in points)
+
+
+def _naive_val(x, p):
+    """v_p of a nonzero rational by dividing out one factor of p at a time."""
+    x = Fraction(x)
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 2**61 - 1]),
+    unit=st.integers(-(10**40), 10**40).filter(lambda u: u != 0),
+    den=st.integers(1, 10**30),
+    e=st.integers(0, 10**4),
+    shift=st.integers(-60, 60),
+    shape=st.sampled_from(["int", "fraction", "two-power", "p-power"]),
+)
+def test_val_matches_naive_division(p, unit, den, e, shift, shape):
+    if shape == "int":
+        x = unit
+    elif shape == "fraction":
+        x = Fraction(unit, den) * Fraction(p) ** shift
+    elif shape == "two-power":
+        x = 2**e * (2 * unit + 1)  # 2^e times an odd number, e up to 10^4
+    else:
+        x = Fraction(p ** (e % 300) * unit, den)
+    assert val(x, p) == _naive_val(x, p)
+    assert val(-x, p) == val(x, p)

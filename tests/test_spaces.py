@@ -27,8 +27,10 @@ from slopewalk.spaces import (
     ratio_order,
     rational_eigenvalue_with_slope,
     refinement,
+    tp_precision,
     zero_constant_slice,
 )
+from slopewalk.linalg import mat_mul, rational_roots
 
 _frozen = lambda fid: fixture_value(fid)
 
@@ -197,8 +199,6 @@ def test_t2_charpoly_weight24_matches_oracle():
 
 
 def test_hecke_operators_commute():
-    from slopewalk.linalg import mat_mul
-
     for k in range(12, 41, 2):
         cusp = cusp_subspace_level1(build_basis(Level.SL2Z, k, prec_hint=60))
         if cusp.dim == 0:
@@ -225,6 +225,8 @@ def test_refinement_examples():
     assert (r.alpha_val, r.beta_val) == (2, 2)
     r = refinement(0, 19, 2)
     assert r.alpha_val == r.beta_val == Fraction(19 - 1, 2)
+    r = refinement(1, 0, 3)  # p^(k-1) = 1/3 exactly, not a float
+    assert r.alpha_val == r.beta_val == Fraction(-1, 2)
 
 
 def test_ratio_order_examples():
@@ -292,3 +294,72 @@ def test_space_and_matrix_json_round_trip():
     mobj = mat.to_json_obj()
     assert mobj["operator"] == "u2"
     assert mobj["matrix"] == [[f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in row] for row in mat.entries]
+
+
+# -- T_p with its character and a q-precision scaled with p ---------------------
+
+def _naive_tau(count):
+    """tau(0..count-1) from Delta = q prod_{n>=1} (1 - q^n)^24, multiplying
+    by one factor (1 - q^n) at a time."""
+    prod = [1] + [0] * (count - 1)
+    for n in range(1, count):
+        for _ in range(24):
+            prod = [c - (prod[i - n] if i >= n else 0) for i, c in enumerate(prod)]
+    return [0] + prod[: count - 1]
+
+
+def _chi4_power(level, k, p):
+    """chi(p) for the character of M_k(level): chi_4(p)^k on gamma1_4, where
+    chi_4(p) is 1 or -1 as p is 1 or 3 mod 4, and 1 elsewhere."""
+    if level is not Level.GAMMA1_4:
+        return 1
+    return (1 if p % 4 == 1 else -1) ** k
+
+
+def _tp_space(level, k, p):
+    return build_basis(level, k, tp_precision(level, k, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_tp_on_s12_is_ramanujan_tau(p):
+    cusp = cusp_subspace_level1(_tp_space(Level.SL2Z, 12, p))
+    assert operator_matrix("tp", cusp, p=p).entries == ((_naive_tau(p + 1)[p],),)
+
+
+@pytest.mark.parametrize("level,k", [
+    (Level.SL2Z, 0), (Level.SL2Z, 12), (Level.SL2Z, 24),
+    (Level.GAMMA0_2, 0), (Level.GAMMA0_2, 2), (Level.GAMMA0_2, 10),
+    (Level.GAMMA1_4, 1), (Level.GAMMA1_4, 2), (Level.GAMMA1_4, 3),
+    (Level.GAMMA1_4, 6), (Level.GAMMA1_4, 9), (Level.GAMMA1_4, 12),
+])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_tp_charpoly_vanishes_at_the_eisenstein_eigenvalue(level, k, p):
+    # the Eisenstein series E_k^{1, chi} has T_p-eigenvalue 1 + chi(p) p^(k-1)
+    cp = charpoly(operator_matrix("tp", _tp_space(level, k, p), p=p))
+    eigenvalue = 1 + _chi4_power(level, k, p) * Fraction(p) ** (k - 1)
+    assert sum(c * eigenvalue**i for i, c in enumerate(cp)) == 0
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_t3_and_t5_commute_on_gamma1_4(k):
+    space = _tp_space(Level.GAMMA1_4, k, 5)  # enough rows for T_3 as well
+    t3 = operator_matrix("tp", space, p=3).as_lists()
+    t5 = operator_matrix("tp", space, p=5).as_lists()
+    assert mat_mul(t3, t5) == mat_mul(t5, t3)
+
+
+def test_tp_precision_is_scaled_with_p():
+    level, k = Level.GAMMA1_4, 24  # sturm bound 24, dim 13
+    assert tp_precision(level, k, 31) == 31 * (24 + 13 + 10) == 1457
+    assert tp_precision(level, k, None) is None
+    with pytest.raises(ParityError):
+        tp_precision(Level.SL2Z, 13, 3)
+
+
+@pytest.mark.parametrize("k", [12, 16, 18, 20, 22, 26])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_rational_cuspidal_tp_eigenvalues_obey_deligne(k, p):
+    cusp = cusp_subspace_level1(_tp_space(Level.SL2Z, k, p))
+    roots = rational_roots(charpoly(operator_matrix("tp", cusp, p=p)))
+    assert roots, "every weight here has a one-dimensional cusp space"
+    assert all(a * a <= 4 * p ** (k - 1) for a, _ in roots)
