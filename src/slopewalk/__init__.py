@@ -6,37 +6,3 @@ Everything is exact rational arithmetic; no floats anywhere.
 """
 
 __version__ = "0.1.0"
-
-from .errors import SlopewalkError  # noqa: F401
-from .padic import INFINITY, NewtonPolygon, newton_slopes, val  # noqa: F401
-from .qseries import QSeries, hecke_t_p, standard_series, u_p, v_p  # noqa: F401
-from .spaces import (  # noqa: F401
-    Level,
-    build_basis,
-    charpoly,
-    cusp_subspace_level1,
-    extract_slope_eigenform,
-    hatada_check,
-    is_n_regular,
-    operator_matrix,
-    ratio_order,
-    refinement,
-)
-from .weightspace import WeightCharacter, in_boundary, w_valuation  # noqa: F401
-from .eigencurve import (  # noqa: F401
-    EigencurvePointModel,
-    annulus_index,
-    bk_predicted_slope,
-    classify,
-    twin,
-    twin_index_sum_check,
-)
-from .pingpong import (  # noqa: F401
-    PingPongCertificate,
-    connect,
-    first_step,
-    induction_step,
-    verify_certificate,
-)
-from .overconvergent import oc_slopes, u2_matrix_weight0  # noqa: F401
-from .fixtures import run_oracles  # noqa: F401

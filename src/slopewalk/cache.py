@@ -28,7 +28,7 @@ def code_version() -> str:
     entries die on any code change."""
     root = Path(__file__).parent
     digest = hashlib.sha256()
-    for path in sorted(root.glob("*.py")) + sorted(root.glob("data/*.json")):
+    for path in sorted(root.glob("*.py")):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]

@@ -26,7 +26,7 @@ from .eigencurve import (
     twin,
     twin_index_sum_check,
 )
-from .errors import InvariantError, PreconditionError, SlopewalkError, VerificationFailure
+from .errors import InvariantError, PreconditionError, SlopewalkError
 from .overconvergent import (
     OcSlopeReport,
     oc_slopes,
@@ -46,6 +46,7 @@ from .spaces import (
     hatada_check,
     is_n_regular,
     operator_matrix,
+    operator_prime,
     ratio_order,
     refinement,
     tp_precision,
@@ -123,6 +124,7 @@ def _cmd_slopes(args) -> int:
         space = build_basis(level, args.k, prec_hint)
         if level is Level.SL2Z:
             space = cusp_subspace_level1(space)
+        operator_prime(args.op, level, args.p)  # a 0 space never reaches operator_matrix
         if space.dim == 0:
             obj = {"schema": SCHEMA, "level": args.level, "k": args.k, "operator": args.op,
                    "dim": 0, "charpoly": ["1/1"], "slopes": [], "zero_roots": 0,
@@ -373,9 +375,6 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 3
     except InvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 4

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all slopewalk modules.
 
-Three bases map onto the CLI exit codes: bad inputs / unmet preconditions
-(exit 2), failed verification of otherwise well-formed data (exit 3), and
-internal invariant breaches that signal a bug or a corrupted build (exit 4).
+Two bases map onto the CLI exit codes: bad inputs / unmet preconditions
+(exit 2) and internal invariant breaches that signal a bug or a corrupted
+build (exit 4). Failed verification of well-formed data (exit 3) is reported
+as a list of violations or a report, not raised.
 """
 
 
@@ -12,10 +13,6 @@ class SlopewalkError(Exception):
 
 class PreconditionError(SlopewalkError):
     """An operation was called outside its documented domain."""
-
-
-class VerificationFailure(SlopewalkError):
-    """A check over well-formed data did not come out clean."""
 
 
 class InvariantError(SlopewalkError):
@@ -29,10 +26,6 @@ class EmptyPolynomial(PreconditionError):
 
 
 # -- qseries ----------------------------------------------------------------
-
-class NonUnitConstantTerm(PreconditionError):
-    """Series inversion requires a nonzero constant term."""
-
 
 class InsufficientPrecision(PreconditionError):
     """Known coefficients do not determine the requested result."""
@@ -86,15 +79,3 @@ class NotPotentiallyCrystalline(PreconditionError):
 
 class ConstraintViolated(PreconditionError):
     """A walk-construction constraint (such as 2^m - 1 > i) fails."""
-
-
-# -- fixtures ---------------------------------------------------------------
-
-class FixtureMismatch(VerificationFailure):
-    """An independent oracle disagrees with a frozen fixture value."""
-
-    def __init__(self, fixture_id: str, expected, got):
-        super().__init__(f"fixture {fixture_id!r}: expected {expected!r}, recomputed {got!r}")
-        self.fixture_id = fixture_id
-        self.expected = expected
-        self.got = got

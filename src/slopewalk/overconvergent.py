@@ -27,8 +27,8 @@ Valuations grow down the rows and along the lower part of the columns (the
 recorded compactness witness); Newton slopes of the truncation's exact
 characteristic polynomial are its eigenvalue valuations, and stabilization
 under growing N is the diagnostic that the spectral data has converged. The
-frozen slope fixtures are checked against the Buzzard-Calegari closed form
-in fixtures.py, which shares no code with this module.
+frozen slopes the tests use are checked against the Buzzard-Calegari closed
+form in tests/oracle_store.py, which shares no code with this module.
 """
 
 from __future__ import annotations

@@ -7,12 +7,13 @@ Fractions otherwise, so the big integer paths stay fast.
 
 Conventions for the constructors:
 
-    E_k        = 1 - (2k/B_k) * sum sigma_{k-1}(n) q^n   (prefactors -24, 240, -504)
-    Delta      = q * prod (1 - q^n)^24
-    Theta      = 1 + 2 * sum q^(n^2)
-    F_sigma_odd= sum over odd n of sigma_1(n) q^n
-    A_level2   = 2 E_2(q^2) - E_2(q)
-    Hauptmodul_f = q * prod (1 + q^n)^24     (equals Delta(q^2)/Delta(q))
+    eisenstein(k)      E_k = 1 - (2k/B_k) * sum sigma_{k-1}(n) q^n
+                       (prefactors -24, 240, -504 for k = 2, 4, 6)
+    delta              Delta = q * prod (1 - q^n)^24
+    theta              Theta = 1 + 2 * sum q^(n^2)
+    sigma_odd_weight2  sum over odd n of sigma_1(n) q^n
+    eisenstein2_level2 2 E_2(q^2) - E_2(q)
+    hauptmodul_f       q * prod (1 + q^n)^24     (equals Delta(q^2)/Delta(q))
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import comb, isqrt
 from numbers import Rational
 
-from .errors import InsufficientPrecision, NonUnitConstantTerm
+from .errors import InsufficientPrecision
 from .serialize import rat_from_str, rat_to_str
 
 Rat = int | Fraction
@@ -127,33 +128,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "QSeries":
-        if e < 0:
-            raise ValueError("negative powers: use invert_unit explicitly")
-        result = QSeries.one(self.prec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def invert_unit(self) -> "QSeries":
-        """Multiplicative inverse; requires a_0 != 0. Same precision."""
-        if self.prec < 1 or self.coeffs[0] == 0:
-            raise NonUnitConstantTerm("cannot invert a series with a_0 = 0")
-        a0 = Fraction(self.coeffs[0])
-        inv0 = 1 / a0
-        out: list[Rat] = [_norm(inv0)]
-        for n in range(1, self.prec):
-            acc = 0
-            for i in range(1, n + 1):
-                if self.coeffs[i] != 0:
-                    acc += self.coeffs[i] * out[n - i]
-            out.append(_norm(-inv0 * acc))
-        return QSeries(tuple(out), self.prec)
-
     # -- serialization ------------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -236,29 +210,6 @@ def hauptmodul_f(prec: int) -> QSeries:
     """The level-2 hauptmodul q * prod (1 + q^n)^24 = Delta(q^2)/Delta(q)."""
     prod = _eta_style_product(+1, 24, prec)
     return QSeries.from_coeffs([0] + prod[: prec - 1])
-
-
-_STANDARD = {
-    "E2": lambda prec: eisenstein(2, prec),
-    "E4": lambda prec: eisenstein(4, prec),
-    "E6": lambda prec: eisenstein(6, prec),
-    "Delta": delta,
-    "Theta": theta,
-    "F_sigma_odd": sigma_odd_weight2,
-    "A_level2": eisenstein2_level2,
-    "Hauptmodul_f": hauptmodul_f,
-}
-
-
-def standard_series(name: str, prec: int) -> QSeries:
-    """Named generator series; prec >= 2."""
-    if prec < 2:
-        raise InsufficientPrecision(f"standard_series needs prec >= 2, got {prec}")
-    try:
-        builder = _STANDARD[name]
-    except KeyError:
-        raise ValueError(f"unknown series {name!r}; choose from {sorted(_STANDARD)}") from None
-    return builder(prec)
 
 
 # -- Hecke-type operators -----------------------------------------------------

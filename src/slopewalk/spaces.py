@@ -31,7 +31,16 @@ from .errors import (
     RepeatedRoot,
 )
 from .padic import INFINITY, Valuation, is_prime, newton_slopes, val
-from .qseries import QSeries, _norm, hecke_t_p, standard_series, theta, u_p
+from .qseries import (
+    QSeries,
+    _norm,
+    eisenstein,
+    eisenstein2_level2,
+    hecke_t_p,
+    sigma_odd_weight2,
+    theta,
+    u_p,
+)
 from .serialize import rat_to_str
 
 
@@ -60,11 +69,11 @@ _CONDUCTOR = {Level.SL2Z: 1, Level.GAMMA0_2: 2, Level.GAMMA1_4: 4}
 
 def _generators(level: Level, prec: int) -> tuple[QSeries, QSeries]:
     if level is Level.SL2Z:
-        return standard_series("E4", prec), standard_series("E6", prec)
+        return eisenstein(4, prec), eisenstein(6, prec)
     if level is Level.GAMMA0_2:
-        return standard_series("A_level2", prec), standard_series("E4", prec)
+        return eisenstein2_level2(prec), eisenstein(4, prec)
     g1 = theta(prec)
-    return g1 * g1, standard_series("F_sigma_odd", prec)
+    return g1 * g1, sigma_odd_weight2(prec)
 
 
 def monomial_exponents(level: Level, k: int) -> list[tuple[int, int]]:
@@ -189,24 +198,25 @@ def cusp_subspace_level1(space: SpaceBasis) -> SpaceBasis:
     """
     if space.level is not Level.SL2Z:
         raise PreconditionError("cusp_subspace_level1 requires the sl2z level")
-    rows = [[Fraction(c) for c in b.coeffs] for b in space.basis]
-    red, pivots = linalg.rref(rows)
+    cusp, pivots = _zero_constant_echelon(space)
     if pivots != list(range(space.dim)):
         raise InvariantError(f"level-1 echelon pivots {pivots} are not initial")
-    cusp = tuple(
-        QSeries.from_coeffs(red[r], space.prec) for r, p in enumerate(pivots) if p >= 1
-    )
-    return SpaceBasis(space.level, space.k, cusp, space.prec, len(cusp), ())
+    return cusp
 
 
 def zero_constant_slice(space: SpaceBasis) -> SpaceBasis:
     """Echelonized a_0 = 0 slice of any space (used for the Gamma_1(4) seed)."""
-    rows = [[Fraction(c) for c in b.coeffs] for b in space.basis]
-    red, pivots = linalg.rref(rows)
+    return _zero_constant_echelon(space)[0]
+
+
+def _zero_constant_echelon(space: SpaceBasis) -> tuple[SpaceBasis, list[int]]:
+    """The rows of the basis's reduced echelon form with pivot >= 1, which
+    span its a_0 = 0 slice, and the pivot columns of that form."""
+    red, pivots = linalg.rref([[Fraction(c) for c in b.coeffs] for b in space.basis])
     sliced = tuple(
         QSeries.from_coeffs(red[r], space.prec) for r, p in enumerate(pivots) if p >= 1
     )
-    return SpaceBasis(space.level, space.k, sliced, space.prec, len(sliced), ())
+    return SpaceBasis(space.level, space.k, sliced, space.prec, len(sliced), ()), pivots
 
 
 @dataclass(frozen=True)
@@ -243,31 +253,40 @@ def _apply_operator(op: str, p: int | None, space: SpaceBasis, series: QSeries) 
     raise ValueError(f"unknown operator {op!r}")
 
 
-def operator_matrix(op: str, space: SpaceBasis, p: int | None = None) -> OperatorMatrix:
-    """Certified matrix of u2 / t2 / tp on the given basis.
+def operator_prime(op: str, level: Level, p: int | None = None) -> int:
+    """The prime of u2 / t2 / tp at the given level, or a PreconditionError
+    when the operator does not act there.
 
-    u2 is admitted on gamma0_2 and gamma1_4 (2-stabilized data); tp needs
-    gcd(p, conductor) = 1. The coefficient-matching solve uses every
-    available row, so images that do not lie in the space trigger
-    ResidualNonzero and too little precision triggers InsufficientPrecision.
+    u2 is admitted on gamma0_2 and gamma1_4 (2-stabilized data) and t2 where
+    the conductor is odd; both are at p = 2, whatever p is given. tp needs a
+    prime p with gcd(p, conductor) = 1.
     """
     if op == "u2":
-        if space.level is Level.SL2Z:
+        if level is Level.SL2Z:
             raise PreconditionError("U_2 does not act on unstabilized level-1 spaces")
-        p = 2
-    elif op == "t2":
-        p = 2
-        if space.level.conductor % 2 == 0:
+        return 2
+    if op == "t2":
+        if level.conductor % 2 == 0:
             raise PreconditionError("T_2 requires 2 coprime to the level conductor")
-    elif op == "tp":
+        return 2
+    if op == "tp":
         if p is None:
             raise PreconditionError("tp needs an explicit prime p")
         if not is_prime(p):
             raise PreconditionError(f"p must be prime, got {p}")
-        if gcd(p, space.level.conductor) != 1:
+        if gcd(p, level.conductor) != 1:
             raise PreconditionError(f"T_{p} requires p coprime to the conductor")
-    else:
-        raise ValueError(f"unknown operator {op!r}")
+        return p
+    raise ValueError(f"unknown operator {op!r}")
+
+
+def operator_matrix(op: str, space: SpaceBasis, p: int | None = None) -> OperatorMatrix:
+    """Certified matrix of u2 / t2 / tp on the given basis (operator_prime
+    says where each acts). The coefficient-matching solve uses every
+    available row, so images that do not lie in the space trigger
+    ResidualNonzero and too little precision triggers InsufficientPrecision.
+    """
+    p = operator_prime(op, space.level, p)
     images = [_apply_operator(op, p, space, b) for b in space.basis]
     rows = min(im.prec for im in images)
     a = space.coefficient_matrix(rows)

@@ -6,17 +6,19 @@ sums, cofactor determinants, definitional hull walks, quadratic-field powers.
 None of these helpers share code with the main modules they certify; they are
 deliberately slow and obvious.
 
-The store itself lives in data/fixtures.json. Entries carry a provenance
-class: "published" (q-expansion displays and closed-form constants taken from
-the literature; no oracle, recorded as ground truth), "trivial" (checkable by
-eye; oracle is direct evaluation), or "derived" (recomputed by a named oracle
-here). The weight-0 overconvergent slope tables are derived from the
-Buzzard-Calegari closed form (Slopes of overconvergent 2-adic modular forms,
-Compositio Math. 2005): the slopes of U_2 are 0 and 1 + 2 v_2((3n)!/n!) for
-n >= 1, which needs nothing but integer arithmetic.
+The store itself lives in oracle_store.json, next to this module. Entries
+carry a provenance class: "published" (q-expansion displays and closed-form
+constants taken from the literature; no oracle, recorded as ground truth),
+"trivial" (checkable by eye; oracle is direct evaluation), or "derived"
+(recomputed by a named oracle here). The weight-0 overconvergent slope
+tables are derived from the Buzzard-Calegari closed form (Slopes of
+overconvergent 2-adic modular forms, Compositio Math. 2005): the slopes of
+U_2 are 0 and 1 + 2 v_2((3n)!/n!) for n >= 1, which needs nothing but
+integer arithmetic.
 
 run_oracles() recomputes everything and raises FixtureMismatch on the first
-disagreement; the test suite runs it before anything else.
+disagreement; the test suite runs it before anything else. Nothing here
+imports slopewalk.
 """
 
 from __future__ import annotations
@@ -24,9 +26,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 
-from .errors import FixtureMismatch
+STORE = Path(__file__).with_name("oracle_store.json")
+
+
+class FixtureMismatch(Exception):
+    """An independent oracle disagrees with a frozen fixture value."""
+
+    def __init__(self, fixture_id: str, expected, got):
+        super().__init__(f"fixture {fixture_id!r}: expected {expected!r}, recomputed {got!r}")
+        self.fixture_id = fixture_id
+        self.expected = expected
+        self.got = got
+
 
 # -- naive series arithmetic (dict index -> Fraction) -------------------------
 
@@ -537,8 +550,7 @@ def _nmiller_wt24():
 
 
 def load_store() -> list[FrozenFixture]:
-    text = resources.files("slopewalk").joinpath("data/fixtures.json").read_text()
-    obj = json.loads(text)
+    obj = json.loads(STORE.read_text())
     return [
         FrozenFixture(e["id"], e["provenance"], e["value"], e["oracle"], e.get("source", ""))
         for e in obj["fixtures"]
@@ -573,25 +585,3 @@ def run_oracles() -> OracleReport:
         checked.append(f.id)
     return OracleReport(tuple(checked), tuple(recorded))
 
-
-def generate_store() -> dict:
-    """Recompute every oracle-backed fixture and assemble the store object.
-
-    Used once to freeze data/fixtures.json; kept so the store can be
-    regenerated deliberately (never implicitly).
-    """
-    published = [
-        {
-            "id": "seed_form_display",
-            "provenance": "published",
-            "value": {"1": "1/1", "2": "-4/1", "4": "16/1", "5": "-14/1", "8": "-64/1"},
-            "oracle": "",
-            "source": "published q-expansion display of the weight-5 level-4 seed newform",
-        },
-    ]
-    derived = []
-    for fid, fn in _ORACLES.items():
-        derived.append(
-            {"id": fid, "provenance": "derived", "value": _enc(fn()), "oracle": f"oracle:{fid}"}
-        )
-    return {"version": 1, "fixtures": published + derived}

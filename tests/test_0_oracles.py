@@ -3,7 +3,10 @@ oracle before the rest of the suite means anything. The leading 0 in the
 filename makes pytest collect this module first.
 """
 
-from slopewalk.fixtures import _ORACLES, load_store, run_oracles
+import pytest
+
+import oracle_store
+from oracle_store import _ORACLES, FixtureMismatch, load_store, run_oracles
 
 
 def test_store_is_well_formed():
@@ -41,16 +44,10 @@ def test_published_seed_form_values():
 
 
 def test_mismatch_is_detected(monkeypatch):
-    import slopewalk.fixtures as fx
-
     tampered = [
-        fx.FrozenFixture(f.id, f.provenance, "999/1" if f.id == "tau_2" else f.value, f.oracle)
+        oracle_store.FrozenFixture(f.id, f.provenance, "999/1" if f.id == "tau_2" else f.value, f.oracle)
         for f in load_store()
     ]
-    monkeypatch.setattr(fx, "load_store", lambda: tampered)
-    import pytest
-
-    from slopewalk.errors import FixtureMismatch
-
+    monkeypatch.setattr(oracle_store, "load_store", lambda: tampered)
     with pytest.raises(FixtureMismatch, match="tau_2"):
-        fx.run_oracles()
+        run_oracles()

@@ -11,9 +11,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from certmut import apply_mutation, numeric_fields
+from oracle_store import _nquad_ratio_order, fixture_value
 from slopewalk.eigencurve import annulus_index, twin, twin_index_sum_check
 from slopewalk.errors import RepeatedRoot
-from slopewalk.fixtures import _nquad_ratio_order, fixture_value
 from slopewalk.overconvergent import oc_slopes, u2_matrix_weight0
 from slopewalk.padic import INFINITY, newton_slopes, val
 from slopewalk.pingpong import connect, first_step, induction_step, verify_certificate, verify_certificate_json

@@ -191,6 +191,41 @@ def test_slopes_sl2z_t2_runs_without_sympy():
     assert obj["dim"] == 3 and obj["refinements"] == []
 
 
+def test_imports_load_only_the_runtime():
+    # the package imports none of its modules, and the CLI no test oracle
+    script = (
+        "import json, sys, slopewalk; before = sorted(sys.modules); import slopewalk.cli; "
+        "print(json.dumps([before, sorted(sys.modules)]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout)
+    assert [m for m in before if m.startswith("slopewalk.")] == []
+    assert [m for m in after if "oracle" in m or "fixtures" in m] == []
+
+
+def test_cli_runs_from_the_package_sources_alone(tmp_path):
+    # a copy of src/slopewalk/*.py, and nothing else, gives the same bytes
+    package = Path(slopewalk.__file__).parent
+    copy = tmp_path / "copy"
+    (copy / "slopewalk").mkdir(parents=True)
+    for source in package.glob("*.py"):
+        (copy / "slopewalk" / source.name).write_bytes(source.read_bytes())
+    script = (
+        "import sys, slopewalk.cli; assert slopewalk.cli.__file__.startswith(sys.argv[1]); "
+        "sys.exit(slopewalk.cli.main(sys.argv[2:]))"
+    )
+    for argv in (["slopes", "--level", "sl2z", "--k", "12", "--op", "t2"], ["oc", "--trunc", "8"]):
+        runs = [
+            subprocess.run([sys.executable, "-c", script, str(root), *argv], capture_output=True,
+                           env=dict(CHILD_ENV, PYTHONPATH=str(root)), cwd=tmp_path)
+            for root in (copy, package.parent)
+        ]
+        assert runs[0].returncode == 0, runs[0].stderr
+        assert (runs[0].returncode, runs[0].stdout, runs[0].stderr) == (
+            runs[1].returncode, runs[1].stdout, runs[1].stderr)
+
+
 def test_verify_non_object_json_is_a_violation(capsys, tmp_path):
     doc = tmp_path / "list.json"
     doc.write_text("[]")
@@ -209,6 +244,24 @@ def test_slopes_tp_composite_p_exit_code(capsys):
     code, err = run_cli_err(capsys, "slopes", "--level", "sl2z", "--k", "12", "--op", "tp", "--p", "4")
     assert code == 2
     assert "p must be prime" in err
+
+
+# operators that do not act on the level-1 cusp space, which is 0 at k = 0, 4
+INVALID_LEVEL1_OPERATORS = [
+    (["--op", "u2"], "U_2 does not act on unstabilized level-1 spaces"),
+    (["--op", "tp", "--p", "4"], "p must be prime, got 4"),
+    (["--op", "tp", "--p", "1"], "p must be prime, got 1"),
+    (["--op", "tp"], "tp needs an explicit prime p"),
+]
+
+
+@pytest.mark.parametrize("k", ["0", "4", "12"])
+@pytest.mark.parametrize("op_args,message", INVALID_LEVEL1_OPERATORS,
+                         ids=["u2", "tp-p4", "tp-p1", "tp-no-p"])
+def test_slopes_invalid_operator_exit_code(capsys, k, op_args, message):
+    code = main(["slopes", "--level", "sl2z", "--k", k, *op_args])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # every admissible weight k <= 24 at each level, T_p for p in {3, 5, 7}

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracle_store import _nbuzzard_calegari, fixture_value
 import slopewalk.overconvergent as ov
 from slopewalk.errors import InsufficientPrecision, InvariantError
-from slopewalk.fixtures import _nbuzzard_calegari, fixture_value
 from slopewalk.overconvergent import (
     oc_slopes,
     slopes_to_csv,

@@ -4,8 +4,8 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_store import fixture_value
 from slopewalk.errors import EmptyPolynomial
-from slopewalk.fixtures import fixture_value
 from slopewalk.padic import INFINITY, NewtonPolygon, is_prime, newton_slopes, val
 from slopewalk.serialize import rat_from_str
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracle_store import _nquad_ratio_order, fixture_value
 from slopewalk.errors import (
     IrrationalEigenvalue,
     NoUniqueSlope,
@@ -9,7 +10,6 @@ from slopewalk.errors import (
     PreconditionError,
     RepeatedRoot,
 )
-from slopewalk.fixtures import _nquad_ratio_order, fixture_value
 from slopewalk.padic import INFINITY, newton_slopes
 from slopewalk.qseries import delta, u_p
 from slopewalk.serialize import rat_from_str

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle_store import fixture_value
 from slopewalk.errors import CenterOfWeightSpace
-from slopewalk.fixtures import fixture_value
 from slopewalk.padic import val
 from slopewalk.serialize import rat_from_str
 from slopewalk.weightspace import MAX_WILD_EXPONENT, WeightCharacter, in_boundary, w_valuation
