@@ -18,25 +18,9 @@ from fractions import Fraction
 
 from . import __version__
 from .cache import ResultCache, code_version, resolve_cache_dir
-from .eigencurve import (
-    EigencurvePointModel,
-    annulus_index,
-    classify,
-    classify_slope,
-    twin,
-    twin_index_sum_check,
-)
 from .errors import InvariantError, PreconditionError, SlopewalkError
-from .overconvergent import (
-    OcSlopeReport,
-    oc_slopes,
-    slopes_to_csv,
-    slopes_to_plot_data,
-    u2_matrix_weight0,
-)
 from .linalg import rational_roots
 from .padic import NewtonPolygon
-from .pingpong import connect, verify_certificate_json
 from .serialize import exact_decimal, json_dumps_stable, rat_from_str, rat_to_str
 from .spaces import (
     Level,
@@ -51,7 +35,10 @@ from .spaces import (
     refinement,
     tp_precision,
 )
-from .weightspace import WeightCharacter, in_boundary, w_valuation
+
+# The eigencurve, overconvergent, pingpong and weightspace modules are
+# imported by the commands that use them, so that a cached payload is served
+# without loading them.
 
 SCHEMA = 1
 
@@ -120,11 +107,15 @@ def _cmd_slopes(args) -> int:
     level = Level(args.level)
 
     def compute() -> str:
-        prec_hint = tp_precision(level, args.k, args.p) if args.op == "tp" else None
+        from .eigencurve import classify_slope
+
+        # the weight, then T_p's precision cap, then the operator, all before
+        # the basis is built (a 0 space never reaches operator_matrix)
+        prec_hint = tp_precision(level, args.k, args.p if args.op == "tp" else None)
+        operator_prime(args.op, level, args.p)
         space = build_basis(level, args.k, prec_hint)
         if level is Level.SL2Z:
             space = cusp_subspace_level1(space)
-        operator_prime(args.op, level, args.p)  # a 0 space never reaches operator_matrix
         if space.dim == 0:
             obj = {"schema": SCHEMA, "level": args.level, "k": args.k, "operator": args.op,
                    "dim": 0, "charpoly": ["1/1"], "slopes": [], "zero_roots": 0,
@@ -196,6 +187,15 @@ def _cmd_slopes(args) -> int:
 
 
 def _cmd_twin(args) -> int:
+    from .eigencurve import (
+        EigencurvePointModel,
+        annulus_index,
+        classify,
+        twin,
+        twin_index_sum_check,
+    )
+    from .weightspace import WeightCharacter, in_boundary
+
     pt = EigencurvePointModel(WeightCharacter(args.k, args.m), rat_from_str(args.slope))
     tw = twin(pt)
     obj = {
@@ -211,6 +211,8 @@ def _cmd_twin(args) -> int:
 
 
 def _cmd_pingpong(args) -> int:
+    from .pingpong import connect, verify_certificate_json
+
     obj = connect(args.i_start, args.i_end).to_json_obj()
     payload = json_dumps_stable(obj)
     if args.emit:
@@ -223,6 +225,8 @@ def _cmd_pingpong(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .pingpong import verify_certificate_json
+
     with open(args.certificate) as fh:
         try:
             obj = json.load(fh)
@@ -232,6 +236,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oc(args) -> int:
+    from .overconvergent import (
+        OcSlopeReport,
+        oc_slopes,
+        slopes_to_csv,
+        slopes_to_plot_data,
+        u2_matrix_weight0,
+    )
+
     prec = args.prec if args.prec is not None else 2 * args.trunc + 8
 
     def compute() -> str:
@@ -277,6 +289,8 @@ def _cmd_hatada(args) -> int:
 
 
 def _cmd_wval(args) -> int:
+    from .weightspace import WeightCharacter, in_boundary, w_valuation
+
     wc = WeightCharacter(args.k, args.m)
     v_w = rat_to_str(w_valuation(wc))
     _print_json({"k": args.k, "m": args.m, "v_w": v_w, "in_boundary": in_boundary(wc)})

@@ -1,10 +1,13 @@
 """Exact dense linear algebra over the rationals.
 
-Everything here is fraction-exact; there is no pivot-size heuristic because
-there is no rounding. The solver is deliberately strict: systems that are
+Everything here is exact; there is no pivot-size heuristic because there is
+no rounding. The certified solve and the rank scale each row to integers and
+eliminate fraction free (Bareiss), so no Fraction arithmetic runs inside the
+elimination. The solver is deliberately strict: every row of [A|B] is
+certified, those past the pivots by a zero right-hand side. Systems that are
 underdetermined raise InsufficientPrecision and inconsistent ones raise
 ResidualNonzero, because downstream operator matrices must be certified, not
-merely fitted.
+merely fitted. rref, in Fractions, serves echelon forms and kernels.
 
 Matrices are lists of row lists with int or Fraction entries (ints are kept
 as ints so that characteristic polynomials of integer matrices stay on the
@@ -21,22 +24,6 @@ from .errors import InsufficientPrecision, ResidualNonzero
 from .padic import is_prime
 
 Matrix = list[list]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
-            if x != 0:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j] != 0:
-                        oi[j] += x * bt[j]
-    return out
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
@@ -64,35 +51,89 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
+def _integer_rows(mat: Matrix) -> list[list[int]]:
+    """Each row times the lcm of its denominators: an integer matrix with the
+    same row space, and, read as [A|B], a system with the same solutions."""
+    out = []
+    for row in mat:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(m: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free forward elimination (Bareiss) of the integer rows m, in
+    place, on their first ncols columns; returns the pivot columns.
+
+    Row r becomes the r-th echelon row, with pivot m[r][pivots[r]], and the
+    rows past len(pivots) are zero on the first ncols columns. Each update
+    (p x - m_i y) / prev, p the pivot and prev the one before it, divides
+    exactly: by Sylvester's identity every entry is a minor of the row-swapped
+    m and prev the minor one size smaller on the pivot rows and columns. So
+    entries grow no faster than minors, and the last pivot is the minor on
+    all the pivot rows and columns.
+    """
+    rows = len(m)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r][c:]
+        p = top[0]
+        for i in range(r + 1, rows):
+            row = m[i]
+            mi = row[c]
+            if mi:
+                row[c:] = [(p * x - mi * y) // prev for x, y in zip(row[c:], top)]
+            else:
+                row[c:] = [p * x // prev for x in row[c:]]
+        pivots.append(c)
+        prev = p
+        if r + 1 == rows:
+            break
+    return pivots
+
+
 def rank(mat: Matrix) -> int:
-    return len(rref(mat)[1])
+    return len(_eliminate(_integer_rows(mat), len(mat[0]) if mat else 0))
 
 
 def solve_exact(a: Matrix, b: Matrix) -> Matrix:
     """Solve A X = B with full certification.
 
     A has shape (rows x n) with rows >= n and full column rank; B is
-    (rows x m). Every row is enforced, including the ones past the pivots:
-    a nonzero residual there raises ResidualNonzero, while column-rank
-    deficiency raises InsufficientPrecision (more rows are needed to pin the
-    solution down).
+    (rows x m). [A|B] is scaled to integers row by row and eliminated fraction
+    free on the columns of A. Every row is enforced, including the ones past
+    the pivots: a nonzero right-hand side there raises ResidualNonzero, while
+    column-rank deficiency raises InsufficientPrecision (more rows are needed
+    to pin the solution down). The n x n triangle left on top is then solved
+    by back-substitution for d X, where d is its last pivot: d X is integral
+    by Cramer's rule, so each division is exact and each entry of X is one
+    Fraction.
     """
     rows, n = len(a), len(a[0])
-    m = len(b[0])
-    aug = [list(a[i]) + list(b[i]) for i in range(rows)]
-    red, pivots = rref(aug)
-    a_pivots = [p for p in pivots if p < n]
-    if any(p >= n for p in pivots):
+    aug = _integer_rows([list(a[i]) + list(b[i]) for i in range(rows)])
+    pivots = _eliminate(aug, n)
+    if any(any(row[n:]) for row in aug[len(pivots):]):
         raise ResidualNonzero("right-hand side not in the column span")
-    if len(a_pivots) < n:
+    if len(pivots) < n:
         raise InsufficientPrecision(
-            f"system underdetermined: rank {len(a_pivots)} < {n} unknowns"
+            f"system underdetermined: rank {len(pivots)} < {n} unknowns"
         )
-    x = [[Fraction(0)] * m for _ in range(n)]
-    for r, p in enumerate(a_pivots):
-        for j in range(m):
-            x[p][j] = red[r][n + j]
-    return x
+    d = aug[n - 1][n - 1]
+    dx: list[list[int]] = [[]] * n  # d X, filled bottom up
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        acc = [d * y for y in row[n:]]
+        for t in range(i + 1, n):
+            if row[t]:
+                acc = [u - row[t] * v for u, v in zip(acc, dx[t])]
+        dx[i] = [u // row[i] for u in acc]
+    return [[Fraction(v, d) for v in dxi] for dxi in dx]
 
 
 def kernel_basis(mat: Matrix) -> list[list[Fraction]]:

@@ -174,8 +174,9 @@ TP_MAX_PREC = 1500
 def tp_precision(level: Level, k: int, p: int | None) -> int | None:
     """The basis q-precision p (sturm + dim + 10) for T_p on M_k(level).
 
-    None when p is None (operator_matrix then asks for it); a PreconditionError
-    when the weight is not admissible or the precision exceeds TP_MAX_PREC.
+    None when p is None (operator_matrix then asks for it), after the weight
+    is checked; a PreconditionError when the weight is not admissible or the
+    precision exceeds TP_MAX_PREC.
     """
     _check_weight(level, k)
     if p is None:

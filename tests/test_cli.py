@@ -191,8 +191,14 @@ def test_slopes_sl2z_t2_runs_without_sympy():
     assert obj["dim"] == 3 and obj["refinements"] == []
 
 
+# modules that neither the CLI's import nor a cached slopes payload needs
+DEFERRED_MODULES = {"slopewalk.eigencurve", "slopewalk.overconvergent", "slopewalk.pingpong",
+                    "slopewalk.weightspace"}
+
+
 def test_imports_load_only_the_runtime():
     # the package imports none of its modules, and the CLI no test oracle
+    # and none of the modules that only other commands use
     script = (
         "import json, sys, slopewalk; before = sorted(sys.modules); import slopewalk.cli; "
         "print(json.dumps([before, sorted(sys.modules)]))"
@@ -202,6 +208,24 @@ def test_imports_load_only_the_runtime():
     before, after = json.loads(proc.stdout)
     assert [m for m in before if m.startswith("slopewalk.")] == []
     assert [m for m in after if "oracle" in m or "fixtures" in m] == []
+    assert DEFERRED_MODULES.isdisjoint(after)
+
+
+def test_warm_slopes_hit_loads_no_walk_or_oc_module(tmp_path):
+    argv = ["slopes", "--level", "gamma0_2", "--k", "16", "--op", "u2", "--cache-dir", str(tmp_path)]
+    script = (
+        "import contextlib, io, json, sys, slopewalk.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    rc = slopewalk.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([rc, out.getvalue(), sorted(sys.modules)]))"
+    )
+    runs = [subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                           env=CHILD_ENV) for _ in ("cold", "warm")]
+    (cold_rc, cold_out, cold_modules), (warm_rc, warm_out, warm_modules) = (
+        json.loads(run.stdout) for run in runs)
+    assert (cold_rc, warm_rc) == (0, 0) and warm_out == cold_out
+    assert "slopewalk.eigencurve" in cold_modules  # the recompute classifies slopes
+    assert DEFERRED_MODULES.isdisjoint(warm_modules)
 
 
 def test_cli_runs_from_the_package_sources_alone(tmp_path):
@@ -259,6 +283,31 @@ INVALID_LEVEL1_OPERATORS = [
 @pytest.mark.parametrize("op_args,message", INVALID_LEVEL1_OPERATORS,
                          ids=["u2", "tp-p4", "tp-p1", "tp-no-p"])
 def test_slopes_invalid_operator_exit_code(capsys, k, op_args, message):
+    code = main(["slopes", "--level", "sl2z", "--k", k, *op_args])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_slopes_rejects_the_operator_before_building_the_basis(capsys, monkeypatch):
+    import slopewalk.cli as cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the basis was built")
+
+    monkeypatch.setattr(cli, "build_basis", broken)
+    for op_args, message in INVALID_LEVEL1_OPERATORS:
+        code = main(["slopes", "--level", "sl2z", "--k", "300", *op_args])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("k,op_args,message", [
+    ("13", ["--op", "u2"], "sl2z admits k = 0 or even k >= 4, got 13"),
+    ("13", ["--op", "tp", "--p", "4"], "sl2z admits k = 0 or even k >= 4, got 13"),
+    ("3000", ["--op", "tp", "--p", "4"], "T_4 on weight 3000 at level sl2z needs q-precision 2044 > 1500"),
+], ids=["weight-before-u2", "weight-before-p", "cap-before-p"])
+def test_slopes_error_precedence(capsys, k, op_args, message):
+    # the weight, then T_p's precision cap, then the operator
     code = main(["slopes", "--level", "sl2z", "--k", k, *op_args])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -9,12 +9,15 @@ from slopewalk.errors import InsufficientPrecision, ResidualNonzero
 from slopewalk.linalg import (
     charpoly,
     kernel_basis,
-    mat_mul,
     rank,
     rational_roots,
     rref,
     solve_exact,
 )
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def test_rref_and_rank():
@@ -42,6 +45,138 @@ def test_solve_exact_rejects_underdetermined():
     b = [[1], [2], [3]]
     with pytest.raises(InsufficientPrecision):
         solve_exact(a, b)
+
+
+# -- solve_exact and rank against a plain Fraction Gauss-Jordan ----------------
+
+def _gauss_jordan(mat, ncols):
+    """Reduced echelon form of mat in Fractions, pivoting on its first ncols
+    columns only; returns (rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, len(m)) if m[i][c] != 0]
+        if not below:
+            continue
+        m[r], m[below[0]] = m[below[0]], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _reference_solve(a, b):
+    """What solve_exact must give: X, or the exception type and message."""
+    n = len(a[0])
+    m, pivots = _gauss_jordan([list(ra) + list(rb) for ra, rb in zip(a, b)], n)
+    if any(x != 0 for row in m[len(pivots):] for x in row[n:]):
+        return ResidualNonzero, "right-hand side not in the column span"
+    if len(pivots) < n:
+        return InsufficientPrecision, f"system underdetermined: rank {len(pivots)} < {n} unknowns"
+    return [row[n:] for row in m[:n]]
+
+
+def _solve_outcome(a, b):
+    try:
+        return solve_exact(a, b)
+    except (ResidualNonzero, InsufficientPrecision) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_rank(mat):
+    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0)[1])
+
+
+solve_entries = st.one_of(
+    st.just(0),
+    st.integers(-(10**6), 10**6),
+    st.builds(Fraction, st.integers(-2000, 2000), st.integers(1, 20)),
+)
+
+
+def matrices(rows, cols):
+    return st.lists(solve_entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda flat: [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+
+
+@st.composite
+def systems(draw):
+    """(A, B, X) with B = A X: A tall (rows >= n), int or Fraction entries,
+    with zero rows, and with one column a combination of the others when
+    `deficient` is drawn."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.integers(n, n + 4))
+    m = draw(st.integers(1, 3))
+    a = draw(matrices(rows, n))
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        a[i] = [0] * n
+    if n > 1 and draw(st.booleans()):  # rank deficient: column 0 from the rest
+        (weights,) = draw(matrices(1, n - 1))
+        for row in a:
+            row[0] = sum(w * x for w, x in zip(weights, row[1:]))
+    x = draw(matrices(n, m))
+    return a, mat_mul(a, x), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_solve_exact_matches_gauss_jordan(system):
+    a, b, x = system
+    expected = _reference_solve(a, b)
+    assert _solve_outcome(a, b) == expected
+    if _reference_rank(a) == len(a[0]):
+        assert expected == x  # the known solution is the unique one
+    else:
+        assert expected[0] is InsufficientPrecision
+    assert rank(a) == _reference_rank(a)
+    assert rank([list(ra) + list(rb) for ra, rb in zip(a, b)]) == _reference_rank(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.data())
+def test_an_inconsistent_row_past_the_pivots_wins(system, data):
+    # a row of A's span with a perturbed right-hand side: ResidualNonzero,
+    # whether or not A also lacks full column rank
+    a, b, _ = system
+    i = data.draw(st.integers(0, len(a) - 1))
+    (offset,) = data.draw(matrices(1, len(b[0])).filter(lambda m: any(m[0])))
+    a = a + [list(a[i])]
+    b = b + [[y + d for y, d in zip(b[i], offset)]]
+    expected = _reference_solve(a, b)
+    assert expected == (ResidualNonzero, "right-hand side not in the column span")
+    assert _solve_outcome(a, b) == expected
+
+
+def test_rank_edge_cases():
+    assert rank([]) == _reference_rank([]) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[], []]) == 0
+    assert rank([[0, Fraction(1, 3)], [0, 2]]) == 1
+    assert _solve_outcome([[0, 0], [0, 0]], [[0], [0]]) == (
+        InsufficientPrecision, "system underdetermined: rank 0 < 2 unknowns")
+    assert _solve_outcome([[0, 0], [0, 0]], [[0], [1]]) == (
+        ResidualNonzero, "right-hand side not in the column span")
+
+
+@pytest.mark.parametrize("level,k", [("gamma0_2", 88), ("gamma1_4", 44)])
+def test_solve_exact_on_the_u2_systems(level, k):
+    # the systems operator_matrix("u2", ...) solves, and build_basis's probe
+    from slopewalk.qseries import u_p
+    from slopewalk.spaces import Level, build_basis
+
+    space = build_basis(Level(level), k)
+    images = [u_p(f, 2) for f in space.basis]
+    rows = min(im.prec for im in images)
+    a = space.coefficient_matrix(rows)
+    b = [[im[i] for im in images] for i in range(rows)]
+    x = solve_exact(a, b)
+    assert x == _reference_solve(a, b)
+    assert mat_mul(a, x) == b
+    probe = space.coefficient_matrix(space.dim + 6)
+    assert rank(probe) == _reference_rank(probe) == space.dim
 
 
 def test_charpoly_small_cases():

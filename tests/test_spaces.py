@@ -30,9 +30,13 @@ from slopewalk.spaces import (
     tp_precision,
     zero_constant_slice,
 )
-from slopewalk.linalg import mat_mul, rational_roots
+from slopewalk.linalg import rational_roots
 
 _frozen = lambda fid: fixture_value(fid)
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 # -- bases ---------------------------------------------------------------------
