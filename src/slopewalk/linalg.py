@@ -1,13 +1,15 @@
 """Exact dense linear algebra over the rationals.
 
 Everything here is exact; there is no pivot-size heuristic because there is
-no rounding. The certified solve and the rank scale each row to integers and
-eliminate fraction free (Bareiss), so no Fraction arithmetic runs inside the
-elimination. The solver is deliberately strict: every row of [A|B] is
-certified, those past the pivots by a zero right-hand side. Systems that are
-underdetermined raise InsufficientPrecision and inconsistent ones raise
+no rounding. One fraction-free elimination (Bareiss) serves the certified
+solve, the rank, reduced echelon forms and kernels: each row is scaled to
+integers, eliminated on the integers, and the triangle it leaves is
+back-substituted with one Fraction per entry, so no Fraction arithmetic runs
+inside the elimination. The solver is deliberately strict: every row of [A|B]
+is certified, those past the pivots by a zero right-hand side. Systems that
+are underdetermined raise InsufficientPrecision and inconsistent ones raise
 ResidualNonzero, because downstream operator matrices must be certified, not
-merely fitted. rref, in Fractions, serves echelon forms and kernels.
+merely fitted.
 
 Matrices are lists of row lists with int or Fraction entries (ints are kept
 as ints so that characteristic polynomials of integer matrices stay on the
@@ -24,31 +26,6 @@ from .errors import InsufficientPrecision, ResidualNonzero
 from .padic import is_prime
 
 Matrix = list[list]
-
-
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
 
 
 def _integer_rows(mat: Matrix) -> list[list[int]]:
@@ -98,6 +75,36 @@ def _eliminate(m: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
+def _back_substitute(m: list[list[int]], pivots: list[int], start: int) -> Matrix:
+    """The reduced rows R of the echelon rows m that _eliminate left with
+    these pivots, on columns start onward: row i of m with the pivot triangle
+    reduced to the identity. Solved bottom up for d R, d the last pivot,
+    which is integral by Cramer's rule on the pivot minor, so each division
+    is exact and each entry of R is one Fraction."""
+    r = len(pivots)
+    d = m[r - 1][pivots[-1]]
+    dr: list[list[int]] = [[]] * r  # d R, filled bottom up
+    for i in range(r - 1, -1, -1):
+        row = m[i]
+        acc = [d * y for y in row[start:]]
+        for t in range(i + 1, r):
+            f = row[pivots[t]]
+            if f:
+                acc = [u - f * v for u, v in zip(acc, dr[t])]
+        dr[i] = [u // row[pivots[i]] for u in acc]
+    return [[Fraction(v, d) for v in dri] for dri in dr]
+
+
+def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form, every entry a Fraction and the zero rows
+    last; returns (matrix, pivot column indices)."""
+    m = _integer_rows(mat)
+    cols = len(m[0]) if m else 0
+    pivots = _eliminate(m, cols)
+    red = _back_substitute(m, pivots, 0) if pivots else []
+    return red + [[Fraction(0)] * cols for _ in range(len(m) - len(pivots))], pivots
+
+
 def rank(mat: Matrix) -> int:
     return len(_eliminate(_integer_rows(mat), len(mat[0]) if mat else 0))
 
@@ -110,10 +117,7 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix:
     free on the columns of A. Every row is enforced, including the ones past
     the pivots: a nonzero right-hand side there raises ResidualNonzero, while
     column-rank deficiency raises InsufficientPrecision (more rows are needed
-    to pin the solution down). The n x n triangle left on top is then solved
-    by back-substitution for d X, where d is its last pivot: d X is integral
-    by Cramer's rule, so each division is exact and each entry of X is one
-    Fraction.
+    to pin the solution down). X is then the B part of the reduced rows.
     """
     rows, n = len(a), len(a[0])
     aug = _integer_rows([list(a[i]) + list(b[i]) for i in range(rows)])
@@ -124,16 +128,7 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix:
         raise InsufficientPrecision(
             f"system underdetermined: rank {len(pivots)} < {n} unknowns"
         )
-    d = aug[n - 1][n - 1]
-    dx: list[list[int]] = [[]] * n  # d X, filled bottom up
-    for i in range(n - 1, -1, -1):
-        row = aug[i]
-        acc = [d * y for y in row[n:]]
-        for t in range(i + 1, n):
-            if row[t]:
-                acc = [u - row[t] * v for u, v in zip(acc, dx[t])]
-        dx[i] = [u // row[i] for u in acc]
-    return [[Fraction(v, d) for v in dxi] for dxi in dx]
+    return _back_substitute(aug, pivots, n)
 
 
 def kernel_basis(mat: Matrix) -> list[list[Fraction]]:

@@ -5,8 +5,9 @@ X_i and X_{i'} through X_1: a seed point on X_i whose twin lands on an
 X_{2^a - 1}, a within-annulus hop to the wild weight-2 point there, a twin
 down to X_1, and the mirror image of that construction back up to X_{i'}.
 verify_certificate re-derives every numeric claim (annulus indices, twin
-arithmetic, index sums, classicality, construction shapes) and returns
-violations as data, never exceptions.
+arithmetic, index sums, classicality, construction shapes), checks the
+assumptions block against the moves, and returns violations as data, never
+exceptions.
 
 The certificate JSON schema (version 1):
 
@@ -25,6 +26,7 @@ separately for concrete eigensystems via spaces.is_n_regular.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -365,7 +367,21 @@ def verify_certificate(cert: PingPongCertificate) -> list[Violation]:
             )
     except SlopewalkError:
         pass  # already reported as per-point violations
+    if not _assumptions_match(cert):
+        violations.append(
+            Violation(None, "AssumptionsMismatch", "assumptions block is not the one the moves consume")
+        )
     return violations
+
+
+def _assumptions_match(cert: PingPongCertificate) -> bool:
+    """The block declares the axiom and labels each within-annulus move's
+    hypotheses, in any order, and nothing else."""
+    expected = Counter((a.kind, a.tag, a.move) for a in _standard_assumptions(cert.moves))
+    return Counter((a.kind, a.tag, a.move) for a in cert.assumptions) == expected and all(
+        a.status == "declared" if a.kind == "axiom" else a.status in ("assumed", "checked")
+        for a in cert.assumptions
+    )
 
 
 def verify_certificate_json(obj) -> list[Violation]:

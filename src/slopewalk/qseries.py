@@ -24,7 +24,6 @@ from math import comb, isqrt
 from numbers import Rational
 
 from .errors import InsufficientPrecision
-from .serialize import rat_from_str, rat_to_str
 
 Rat = int | Fraction
 
@@ -127,15 +126,6 @@ class QSeries:
         return QSeries(tuple(_norm(c) for c in out), p)
 
     __rmul__ = __mul__
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {"prec": self.prec, "coeffs": [rat_to_str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "QSeries":
-        return cls.from_coeffs([rat_from_str(s) for s in obj["coeffs"]], int(obj["prec"]))
 
 
 # -- standard constructors ----------------------------------------------------

@@ -213,7 +213,7 @@ def zero_constant_slice(space: SpaceBasis) -> SpaceBasis:
 def _zero_constant_echelon(space: SpaceBasis) -> tuple[SpaceBasis, list[int]]:
     """The rows of the basis's reduced echelon form with pivot >= 1, which
     span its a_0 = 0 slice, and the pivot columns of that form."""
-    red, pivots = linalg.rref([[Fraction(c) for c in b.coeffs] for b in space.basis])
+    red, pivots = linalg.rref([b.coeffs for b in space.basis])
     sliced = tuple(
         QSeries.from_coeffs(red[r], space.prec) for r, p in enumerate(pivots) if p >= 1
     )
@@ -245,13 +245,10 @@ class OperatorMatrix:
 def _apply_operator(op: str, p: int | None, space: SpaceBasis, series: QSeries) -> QSeries:
     if op == "u2":
         return u_p(series, 2)
-    if op == "t2":
-        return hecke_t_p(series, space.k, 2)
-    if op == "tp":
-        # M_k(Gamma_1(4)) = M_k(Gamma_0(4), chi_4^k), chi_4(p) = (-1)^((p-1)/2)
-        chi_p = (-1) ** space.k if space.level is Level.GAMMA1_4 and p % 4 == 3 else 1
-        return hecke_t_p(series, space.k, p, chi_p)
-    raise ValueError(f"unknown operator {op!r}")
+    # t2 is T_p at p = 2 (operator_prime gives its p).
+    # M_k(Gamma_1(4)) = M_k(Gamma_0(4), chi_4^k), chi_4(p) = (-1)^((p-1)/2)
+    chi_p = (-1) ** space.k if space.level is Level.GAMMA1_4 and p % 4 == 3 else 1
+    return hecke_t_p(series, space.k, p, chi_p)
 
 
 def operator_prime(op: str, level: Level, p: int | None = None) -> int:

@@ -15,6 +15,8 @@ def numeric_fields(obj):
                 fields.append((f"moves[{j}].{side}.{name}", ("moves", j, side, name)))
             for part in ("num", "den"):
                 fields.append((f"moves[{j}].{side}.slope.{part}", ("moves", j, side, "slope", part)))
+    for j in range(len(obj["assumptions"])):
+        fields.append((f"assumptions[{j}].move", ("assumptions", j)))
     return fields
 
 
@@ -22,6 +24,10 @@ def apply_mutation(obj, path, delta):
     obj = copy.deepcopy(obj)
     if path[0] == "endpoints":
         obj["endpoints"][path[1]] += delta
+        return obj
+    if path[0] == "assumptions":  # the axiom's move is null: it becomes delta
+        assumption = obj["assumptions"][path[1]]
+        assumption["move"] = (assumption["move"] or 0) + delta
         return obj
     _, j, side, field = path[:4]
     point = obj["moves"][j][side]

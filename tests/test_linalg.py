@@ -179,6 +179,78 @@ def test_solve_exact_on_the_u2_systems(level, k):
     assert rank(probe) == _reference_rank(probe) == space.dim
 
 
+# -- rref and kernel_basis against the same Gauss-Jordan ------------------------
+
+@st.composite
+def echelon_inputs(draw):
+    """Matrices with zero rows and rows that are combinations of others, int
+    or Fraction entries, up to 6 x 7."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    mat = draw(matrices(rows, cols))
+    if rows:
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+            mat[i] = [0] * cols
+    if rows > 1 and draw(st.booleans()):  # last row from the others
+        (weights,) = draw(matrices(1, rows - 1))
+        mat[-1] = [sum(w * row[c] for w, row in zip(weights, mat)) for c in range(cols)]
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_inputs())
+def test_rref_matches_gauss_jordan(mat):
+    cols = len(mat[0]) if mat else 0
+    red, pivots = rref(mat)
+    assert (red, pivots) == _gauss_jordan(mat, cols)
+    assert all(type(x) is Fraction for row in red for x in row)
+
+
+def test_rref_edge_cases():
+    assert rref([]) == ([], [])
+    assert rref([[]]) == ([[]], [])
+    red, pivots = rref([[0, 0, 0], [0, 0, 0]])
+    assert (red, pivots) == ([[0, 0, 0], [0, 0, 0]], [])
+    assert all(type(x) is Fraction for row in red for x in row)
+
+
+def _reference_kernel(mat):
+    """The kernel read off _gauss_jordan: one vector per free column."""
+    cols = len(mat[0])
+    red, pivots = _gauss_jordan(mat, cols)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_inputs().filter(bool))
+def test_kernel_basis_matches_gauss_jordan(mat):
+    basis = kernel_basis(mat)
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in mat for v in basis)
+    assert len(basis) == len(mat[0]) - _reference_rank(mat)
+    assert basis == _reference_kernel(mat)
+
+
+def test_rref_on_the_zero_constant_echelon_inputs():
+    # the basis rows _zero_constant_echelon reduces, at every admissible k <= 40
+    from slopewalk.errors import ParityError
+    from slopewalk.spaces import Level, build_basis
+
+    for level in Level:
+        for k in range(41):
+            try:
+                space = build_basis(level, k)
+            except ParityError:
+                continue
+            rows = [b.coeffs for b in space.basis]
+            assert rref(rows) == _gauss_jordan(rows, space.prec), (level, k)
+
+
 def test_charpoly_small_cases():
     assert charpoly([[-24]]) == [24, 1]  # X + 24
     assert charpoly([[0, 0], [0, 0]]) == [0, 0, 1]  # X^2

@@ -112,6 +112,51 @@ def test_tampered_slope_is_caught_and_names_the_move():
     assert any(v.move in (3, 4) for v in violations)
 
 
+def _drop_assumptions(obj):
+    del obj["assumptions"]
+
+
+def _move_a_hypothesis(obj):
+    next(a for a in obj["assumptions"] if a["tag"] == "n_regular")["move"] = 99
+
+
+def _retag_the_axiom(obj):
+    next(a for a in obj["assumptions"] if a["kind"] == "axiom")["tag"] = "same_annulus"
+
+
+def _undeclare_the_axiom(obj):
+    next(a for a in obj["assumptions"] if a["kind"] == "axiom")["status"] = "assumed"
+
+
+def _misstate_a_hypothesis(obj):
+    obj["assumptions"][-1]["status"] = "declared"
+
+
+def _duplicate_a_hypothesis(obj):
+    obj["assumptions"].append(dict(obj["assumptions"][-1]))
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_assumptions,
+    _move_a_hypothesis,
+    _retag_the_axiom,
+    _undeclare_the_axiom,
+    _misstate_a_hypothesis,
+    _duplicate_a_hypothesis,
+])
+def test_an_altered_assumptions_block_is_a_violation(edit):
+    obj = connect(4, 7).to_json_obj()
+    edit(obj)
+    assert [(v.move, v.code) for v in verify_certificate_json(obj)] == [(None, "AssumptionsMismatch")]
+
+
+def test_assumptions_block_order_and_checked_status_are_accepted():
+    obj = connect(4, 7).to_json_obj()
+    obj["assumptions"].reverse()
+    obj["assumptions"][0]["status"] = "checked"
+    assert verify_certificate_json(obj) == []
+
+
 def test_twin_on_non_pc_point_is_a_violation():
     wc = WeightCharacter(5, 0)
     z = EigencurvePointModel(wc, Fraction(2), pc=False)

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,11 +107,6 @@ def test_equality_only_up_to_shared_precision():
     b = delta(9)
     assert a.agrees(b)
     assert a != b  # value semantics differ, precision differs
-
-
-def test_json_round_trip():
-    series = QSeries.from_coeffs([Fraction(1, 3), 2, Fraction(-7, 4)], prec=5)
-    assert QSeries.from_json_obj(series.to_json_obj()) == series
 
 
 small_series = st.builds(
