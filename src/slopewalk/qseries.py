@@ -9,7 +9,6 @@ Conventions for the constructors:
 
     eisenstein(k)      E_k = 1 - (2k/B_k) * sum sigma_{k-1}(n) q^n
                        (prefactors -24, 240, -504 for k = 2, 4, 6)
-    delta              Delta = q * prod (1 - q^n)^24
     theta              Theta = 1 + 2 * sum q^(n^2)
     sigma_odd_weight2  sum over odd n of sigma_1(n) q^n
     eisenstein2_level2 2 E_2(q^2) - E_2(q)
@@ -87,11 +86,6 @@ class QSeries:
             raise InsufficientPrecision(f"cannot extend precision {self.prec} to {prec}")
         return QSeries(self.coeffs[:prec], prec)
 
-    def agrees(self, other: "QSeries") -> bool:
-        """Equality to shared precision (the only meaningful series equality)."""
-        n = min(self.prec, other.prec)
-        return self.coeffs[:n] == other.coeffs[:n]
-
     # -- ring operations ----------------------------------------------------
 
     def __neg__(self) -> "QSeries":
@@ -167,12 +161,6 @@ def _eta_style_product(sign: int, exponent: int, prec: int) -> list[int]:
                     nxt[i + e] += b * out[i]
         out = nxt
     return out
-
-
-def delta(prec: int) -> QSeries:
-    """The discriminant cusp form: q * prod (1 - q^n)^24."""
-    prod = _eta_style_product(-1, 24, prec)
-    return QSeries.from_coeffs([0] + prod[: prec - 1])
 
 
 def theta(prec: int) -> QSeries:

@@ -14,6 +14,8 @@ from numbers import Rational
 
 def rat_to_str(x) -> str:
     """Canonical "num/den" form, denominator always present and positive."""
+    if type(x) is int:
+        return f"{x}/1"
     if not isinstance(x, Rational):
         raise TypeError(f"expected a rational, got {type(x).__name__}")
     f = Fraction(x)

@@ -126,7 +126,7 @@ class SpaceBasis:
             "level": self.level.value,
             "k": self.k,
             "prec": self.prec,
-            "basis": [[rat_to_str(Fraction(c)) for c in b.coeffs] for b in self.basis],
+            "basis": [[rat_to_str(c) for c in b.coeffs] for b in self.basis],
         }
 
 
@@ -238,7 +238,7 @@ class OperatorMatrix:
     def to_json_obj(self) -> dict:
         obj = self.space.to_json_obj()
         obj["operator"] = self.operator
-        obj["matrix"] = [[rat_to_str(Fraction(x)) for x in row] for row in self.entries]
+        obj["matrix"] = [[rat_to_str(x) for x in row] for row in self.entries]
         return obj
 
 

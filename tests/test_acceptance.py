@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from certmut import apply_mutation, numeric_fields
 from oracle_store import _nquad_ratio_order, fixture_value
+from series_helpers import agrees
 from slopewalk.eigencurve import annulus_index, twin, twin_index_sum_check
 from slopewalk.errors import RepeatedRoot
 from slopewalk.overconvergent import oc_slopes, u2_matrix_weight0
@@ -232,4 +233,4 @@ def test_criterion_1_runtime_rerun_for_eigenvector_identity():
     # U_2 eigenvector at full shared precision
     slice5 = zero_constant_slice(build_basis(Level.GAMMA1_4, 5))
     f0 = extract_slope_eigenform(operator_matrix("u2", slice5), 2, 2)
-    assert u_p(f0, 2).agrees(f0.scalar_mul(-4))
+    assert agrees(u_p(f0, 2), f0.scalar_mul(-4))

@@ -191,9 +191,11 @@ def test_slopes_sl2z_t2_runs_without_sympy():
     assert obj["dim"] == 3 and obj["refinements"] == []
 
 
+# modules that a recompute loads and a cached slopes payload does not
+COMPUTE_MODULES = {"slopewalk.linalg", "slopewalk.padic", "slopewalk.qseries", "dataclasses"}
 # modules that neither the CLI's import nor a cached slopes payload needs
 DEFERRED_MODULES = {"slopewalk.eigencurve", "slopewalk.overconvergent", "slopewalk.pingpong",
-                    "slopewalk.weightspace"}
+                    "slopewalk.weightspace", *COMPUTE_MODULES}
 
 
 def test_imports_load_only_the_runtime():
@@ -225,7 +227,15 @@ def test_warm_slopes_hit_loads_no_walk_or_oc_module(tmp_path):
         json.loads(run.stdout) for run in runs)
     assert (cold_rc, warm_rc) == (0, 0) and warm_out == cold_out
     assert "slopewalk.eigencurve" in cold_modules  # the recompute classifies slopes
+    assert COMPUTE_MODULES <= set(cold_modules)
     assert DEFERRED_MODULES.isdisjoint(warm_modules)
+
+
+def test_level_choices_are_the_levels():
+    from slopewalk.spaces import Level
+
+    level = next(a for a in COMMANDS["slopes"]._actions if a.dest == "level")
+    assert list(level.choices) == [lv.value for lv in Level]
 
 
 def test_cli_runs_from_the_package_sources_alone(tmp_path):
@@ -289,12 +299,12 @@ def test_slopes_invalid_operator_exit_code(capsys, k, op_args, message):
 
 
 def test_slopes_rejects_the_operator_before_building_the_basis(capsys, monkeypatch):
-    import slopewalk.cli as cli
+    import slopewalk.spaces as spaces
 
     def broken(*args, **kwargs):
         raise AssertionError("the basis was built")
 
-    monkeypatch.setattr(cli, "build_basis", broken)
+    monkeypatch.setattr(spaces, "build_basis", broken)
     for op_args, message in INVALID_LEVEL1_OPERATORS:
         code = main(["slopes", "--level", "sl2z", "--k", "300", *op_args])
         out, err = capsys.readouterr()
@@ -351,13 +361,13 @@ def test_slopes_tp_precision_cap_exit_code(capsys):
 
 
 def test_invariant_breach_exit_code(capsys, monkeypatch):
-    import slopewalk.cli as cli
+    import slopewalk.spaces as spaces
     from slopewalk.errors import InvariantError
 
     def broken(*args, **kwargs):
         raise InvariantError("synthetic generator-table failure")
 
-    monkeypatch.setattr(cli, "build_basis", broken)
+    monkeypatch.setattr(spaces, "build_basis", broken)
     code, _ = run_cli(capsys, "slopes", "--level", "sl2z", "--k", "12", "--op", "t2")
     assert code == 4
 
@@ -401,6 +411,25 @@ def test_cache_corrupt_entry_is_evicted(capsys, tmp_path):
     assert code == 0 and again == fresh
 
 
+@pytest.mark.parametrize("payload", ["not json", "[" * 100000, "{}", "[]", "5",
+                                     '{"classification": [{"slope": 5}], "slopes": [1]}'],
+                         ids=["not-json", "deep", "empty", "list", "int", "wrong-types"])
+@pytest.mark.parametrize("argv", [["slopes", "--level", "sl2z", "--k", "16", "--op", "t2"],
+                                  ["oc", "--trunc", "4"]], ids=["slopes", "oc"])
+def test_cache_corrupt_payload_is_a_miss(capsys, tmp_path, argv, payload):
+    # a well-formed entry whose payload does not decode to the command's
+    # report is recomputed and replaced
+    cache_dir = tmp_path / "cache"
+    args = [*argv, "--cache-dir", str(cache_dir)]
+    _, fresh = run_cli(capsys, *args)
+    (entry,) = cache_dir.glob("*.json")
+    entry.write_text(json.dumps({**json.loads(entry.read_text()), "payload": payload}))
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (0, fresh, "")
+    assert json.loads(entry.read_text())["payload"] + "\n" == fresh
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SLOPEWALK_CACHE_DIR", str(tmp_path / "envcache"))
     code, _ = run_cli(capsys, "oc", "--trunc", "4")
@@ -436,12 +465,12 @@ def test_nregular_non_prime_p_exit_code(capsys, p):
 
 
 def test_unexpected_exception_exit_code(capsys, monkeypatch):
-    import slopewalk.cli as cli
+    import slopewalk.spaces as spaces
 
     def broken(*args, **kwargs):
         raise ZeroDivisionError("synthetic")
 
-    monkeypatch.setattr(cli, "build_basis", broken)
+    monkeypatch.setattr(spaces, "build_basis", broken)
     code, err = run_cli_err(capsys, "slopes", "--level", "sl2z", "--k", "12", "--op", "t2")
     assert (code, err) == (4, "internal invariant breach: ZeroDivisionError: synthetic\n")
 

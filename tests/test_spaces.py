@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracle_store import _nquad_ratio_order, fixture_value
+from series_helpers import agrees, delta
 from slopewalk.errors import (
     IrrationalEigenvalue,
     NoUniqueSlope,
@@ -11,7 +12,7 @@ from slopewalk.errors import (
     RepeatedRoot,
 )
 from slopewalk.padic import INFINITY, newton_slopes
-from slopewalk.qseries import delta, u_p
+from slopewalk.qseries import u_p
 from slopewalk.serialize import rat_from_str
 from slopewalk.spaces import (
     Level,
@@ -90,7 +91,7 @@ def test_prec_hint_only_raises():
 def test_miller_echelon_weight_12():
     cusp = cusp_subspace_level1(build_basis(Level.SL2Z, 12))
     assert cusp.dim == 1
-    assert cusp.basis[0].agrees(delta(cusp.prec))
+    assert agrees(cusp.basis[0], delta(cusp.prec))
 
 
 def test_no_cusp_forms_below_weight_12():
@@ -169,7 +170,7 @@ def test_extract_seed_eigenform_and_verify_eigenvector():
     expected = [rat_from_str(s) for s in _frozen("seed_form_prefix_9")]
     assert list(f0.coeffs[:9]) == expected
     # genuinely an eigenvector, at full shared precision
-    assert u_p(f0, 2).agrees(f0.scalar_mul(-4))
+    assert agrees(u_p(f0, 2), f0.scalar_mul(-4))
 
 
 def test_extract_slope_eigenform_error_paths():
@@ -189,7 +190,7 @@ def test_extract_slope_eigenform_error_paths():
 def test_extract_delta_from_t2():
     cusp = cusp_subspace_level1(build_basis(Level.SL2Z, 12))
     mat = operator_matrix("t2", cusp)
-    assert extract_slope_eigenform(mat, 3, 2).agrees(delta(10))
+    assert agrees(extract_slope_eigenform(mat, 3, 2), delta(10))
 
 
 def test_t2_charpoly_weight24_matches_oracle():
