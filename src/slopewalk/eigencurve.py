@@ -5,11 +5,18 @@ annulus-walk arguments consume: boundary points lie on the annulus X_i with
 i = slope / v(w), the twin involution swaps the two refinements so slopes
 satisfy s + s' = k - 1 with (k, m) fixed, and classicality is decided by the
 numerical criterion slope < k - 1 (ordinary meaning slope 0).
+
+Since v(w) is 2^(1-m) for m >= 1 and 2 for a boundary character with m = 0,
+the index, the twin's slope, the index sum and the criterion are integer
+closed forms in k, m and the slope's numerator num and denominator den:
+i = num * 2^(m-1) / den or num / (2 den), s' = ((k-1) den - num) / den, and
+i + i' = (k-1) * 2^(m-1) or (k-1) / 2. No Fraction is divided or raised to a
+power on these paths; the slope stays a Fraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonIntegralIndex, NotInBoundary, NotPotentiallyCrystalline
@@ -32,9 +39,14 @@ class EigencurvePointModel:
     classical_claim: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        if self.slope < 0:
-            raise ValueError(f"slope must be >= 0, got {self.slope}")
+        slope = self.slope
+        if not isinstance(slope, Fraction):
+            if type(slope) is not int:
+                raise TypeError(f"slope must be an int or a Fraction, got {type(slope).__name__}")
+            slope = Fraction(slope)
+            object.__setattr__(self, "slope", slope)
+        if slope.numerator < 0:
+            raise ValueError(f"slope must be >= 0, got {slope}")
 
     @property
     def k(self) -> int:
@@ -61,14 +73,18 @@ class EigencurvePointModel:
 
 def annulus_index(pt: EigencurvePointModel) -> int:
     """i with pt on X_i: slope / v(w), enforced to be a positive integer."""
-    if not in_boundary(pt.wc):
-        raise NotInBoundary(f"{pt.wc.label()} is not in the boundary annulus")
-    ratio = pt.slope / w_valuation(pt.wc)
-    if ratio.denominator != 1 or ratio.numerator < 1:
-        raise NonIntegralIndex(
-            f"slope {pt.slope} over v(w) {w_valuation(pt.wc)} gives index {ratio}"
-        )
-    return ratio.numerator
+    wc = pt.wc
+    if not in_boundary(wc):
+        raise NotInBoundary(f"{wc.label()} is not in the boundary annulus")
+    num, den = pt.slope.numerator, pt.slope.denominator
+    if wc.m:
+        index, rest = divmod(num << (wc.m - 1), den)
+    else:
+        index, rest = divmod(num, 2 * den)
+    if rest or index < 1:
+        v = w_valuation(wc)
+        raise NonIntegralIndex(f"slope {pt.slope} over v(w) {v} gives index {pt.slope / v}")
+    return index
 
 
 def twin(pt: EigencurvePointModel) -> EigencurvePointModel:
@@ -79,18 +95,20 @@ def twin(pt: EigencurvePointModel) -> EigencurvePointModel:
     """
     if not pt.pc:
         raise NotPotentiallyCrystalline("twin is defined on pc points only")
-    new_slope = pt.k - 1 - pt.slope
-    if new_slope < 0:
+    den = pt.slope.denominator
+    num = (pt.k - 1) * den - pt.slope.numerator
+    if num < 0:
         raise ValueError(f"slope {pt.slope} exceeds k-1 = {pt.k - 1}; not a twin pair")
-    return replace(pt, slope=new_slope)
+    return EigencurvePointModel(pt.wc, Fraction(num, den), pt.pc, pt.classical_claim)
 
 
 def twin_index_sum_check(pt: EigencurvePointModel) -> bool:
     """Verify i + i' = (k-1)/v(w) with the quotient an integer."""
     i = annulus_index(pt)
     i_twin = annulus_index(twin(pt))
-    total = Fraction(pt.k - 1) / w_valuation(pt.wc)
-    return total.denominator == 1 and i + i_twin == total
+    m = pt.wc.m
+    # a boundary point with m = 0 has odd k, so (k-1)/2 is an integer
+    return i + i_twin == ((pt.k - 1) << (m - 1) if m else (pt.k - 1) // 2)
 
 
 def classify(pt: EigencurvePointModel) -> str:
@@ -109,7 +127,7 @@ def classify_slope(slope: Fraction, k: int) -> str:
 
 def is_numerically_non_critical(pt: EigencurvePointModel) -> bool:
     """slope < k - 1 (ordinary points included)."""
-    return pt.slope < pt.k - 1
+    return pt.slope.numerator < (pt.k - 1) * pt.slope.denominator
 
 
 def bk_predicted_slope(i: int, wc: WeightCharacter) -> Fraction:

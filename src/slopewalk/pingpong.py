@@ -7,7 +7,10 @@ down to X_1, and the mirror image of that construction back up to X_{i'}.
 verify_certificate re-derives every numeric claim (annulus indices, twin
 arithmetic, index sums, classicality, construction shapes), checks the
 assumptions block against the moves, and returns violations as data, never
-exceptions.
+exceptions. Membership, indices, index sums and shapes are checked as
+integer closed forms in (k, m) and the slope's numerator and denominator;
+the planner checks its own points the same way and raises InvariantError
+when one is off, so no check depends on assert.
 
 The certificate JSON schema (version 1):
 
@@ -38,7 +41,7 @@ from .eigencurve import (
     twin,
     twin_index_sum_check,
 )
-from .errors import ConstraintViolated, PreconditionError, SlopewalkError
+from .errors import ConstraintViolated, InvariantError, PreconditionError, SlopewalkError
 from .serialize import json_scalar
 from .weightspace import WeightCharacter, in_boundary
 
@@ -145,16 +148,19 @@ class PingPongCertificate:
 
 
 def _smallest_wild_exponent(i: int) -> int:
-    """Smallest m with 2^m - 1 > i."""
-    m = 1
-    while 2**m - 1 <= i:
-        m += 1
-    return m
+    """Smallest m with 2^m - 1 > i, i.e. 2^m > i + 1 (for i >= 0)."""
+    return (i + 1).bit_length()
 
 
 def _first_step_seed(i: int, m: int) -> EigencurvePointModel:
-    k = 2 * i + 2 ** (m + 1) - 1
+    k = 2 * i + (2 << m) - 1
     return EigencurvePointModel(WeightCharacter(k, 0), Fraction(2 * i))
+
+
+def _ensure(ok: bool, claim: str) -> None:
+    """A planner invariant, kept under python -O."""
+    if not ok:
+        raise InvariantError(f"walk planner: {claim}")
 
 
 def first_step(i: int, m: int):
@@ -166,13 +172,14 @@ def first_step(i: int, m: int):
     """
     if i < 1:
         raise PreconditionError(f"annulus index must be >= 1, got {i}")
-    if m < 1 or 2**m - 1 <= i:
+    if m < 1 or (1 << m) - 1 <= i:
         raise ConstraintViolated(f"need 2^m - 1 > i, got m={m}, i={i}")
     z_prime = _first_step_seed(i, m)
-    assert annulus_index(z_prime) == i
-    assert 2 * z_prime.slope != z_prime.k - 1  # distinct refinement slopes
+    _ensure(annulus_index(z_prime) == i, f"seed off X_{i}")
+    s = z_prime.slope
+    _ensure(2 * s.numerator != (z_prime.k - 1) * s.denominator, "seed refinements share a slope")
     z_doubleprime = twin(z_prime)
-    assert annulus_index(z_doubleprime) == 2**m - 1
+    _ensure(annulus_index(z_doubleprime) == (1 << m) - 1, f"seed twin off X_{(1 << m) - 1}")
     moves = (
         Move(KIND_START, z_prime, z_prime, "lem_first_step"),
         Move(KIND_TWIN, z_prime, z_doubleprime, "lem_slope_of_twin_point"),
@@ -193,11 +200,13 @@ def induction_step(m: int):
     if m == 1:
         z = boundary_point(1, WeightCharacter(2, 2))
         return z, z, ()
-    z_doubleprime = EigencurvePointModel(WeightCharacter(2, m + 1), 1 - Fraction(1, 2**m))
-    assert annulus_index(z_doubleprime) == 2**m - 1
-    assert Fraction(1, 2) < z_doubleprime.slope < 1
+    top = (1 << m) - 1
+    z_doubleprime = EigencurvePointModel(WeightCharacter(2, m + 1), Fraction(top, top + 1))
+    _ensure(annulus_index(z_doubleprime) == top, f"induction point off X_{top}")
+    s = z_doubleprime.slope
+    _ensure(s.denominator < 2 * s.numerator < 2 * s.denominator, "induction slope outside (1/2, 1)")
     z_prime = twin(z_doubleprime)
-    assert annulus_index(z_prime) == 1
+    _ensure(annulus_index(z_prime) == 1, "induction twin off X_1")
     moves = (Move(KIND_TWIN, z_doubleprime, z_prime, "lem_ping_pong"),)
     return z_doubleprime, z_prime, moves
 
@@ -254,20 +263,13 @@ def _index_or_violation(j, pt, violations) -> int | None:
 def _check_first_step_shape(j, pt, twin_side: bool, violations) -> None:
     """Seed form: slope 2i, weight 2i + 2^(m+1) - 1, 2^m - 1 > i.
     Twin side sees the same point after the involution."""
-    s = pt.slope
-    if twin_side:
-        s = pt.k - 1 - s
-    gap = pt.k - s + 1  # should be 2^(m+1)
-    ok = (
-        pt.wc.m == 0
-        and s.denominator == 1
-        and s.numerator >= 2
-        and s.numerator % 2 == 0
-        and gap.denominator == 1
-        and gap.numerator >= 4
-        and gap.numerator & (gap.numerator - 1) == 0
-        and (gap.numerator // 2) - 1 > s.numerator // 2
-    )
+    ok = pt.wc.m == 0 and pt.slope.denominator == 1
+    if ok:
+        s = pt.slope.numerator
+        if twin_side:
+            s = pt.k - 1 - s
+        gap = pt.k - s + 1  # should be 2^(m+1)
+        ok = s >= 2 and s % 2 == 0 and gap >= 4 and gap & (gap - 1) == 0 and gap // 2 - 1 > s // 2
     if not ok:
         violations.append(
             Violation(j, "FirstStepForm", f"point {pt.to_json_obj()} is not a first-step anchor")
@@ -275,10 +277,9 @@ def _check_first_step_shape(j, pt, twin_side: bool, violations) -> None:
 
 
 def _check_induction_shape(j, pt, violations) -> None:
-    expected = None
-    if pt.wc.m >= 3:
-        expected = 1 - Fraction(1, 2 ** (pt.wc.m - 1))
-    if pt.k != 2 or expected is None or pt.slope != expected:
+    """Induction form: weight 2, wild exponent m >= 3, slope 1 - 2^(1-m)."""
+    m, s = pt.wc.m, pt.slope
+    if not (pt.k == 2 and m >= 3 and s.denominator == 1 << (m - 1) and s.numerator == s.denominator - 1):
         violations.append(
             Violation(j, "InductionForm", f"point {pt.to_json_obj()} is not an induction anchor")
         )

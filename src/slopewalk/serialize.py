@@ -16,10 +16,11 @@ def rat_to_str(x) -> str:
     """Canonical "num/den" form, denominator always present and positive."""
     if type(x) is int:
         return f"{x}/1"
-    if not isinstance(x, Rational):
-        raise TypeError(f"expected a rational, got {type(x).__name__}")
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    if type(x) is not Fraction:
+        if not isinstance(x, Rational):
+            raise TypeError(f"expected a rational, got {type(x).__name__}")
+        x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def rat_from_str(s: str) -> Fraction:

@@ -9,7 +9,8 @@ w = (character value at 5) - 1 matters downstream, and it has a closed form:
     m = 0, k even     v(w) = 2 + v_2(k - 2)     (so never < 3)
 
 (k=2, m=0) is the center w = 0 and is rejected. The boundary annulus is
-0 < v(w) < 3, i.e. |8| < |w| < 1.
+0 < v(w) < 3, i.e. |8| < |w| < 1: by the closed form that is m >= 1 or k odd,
+which in_boundary tests on the integers k and m without building v(w).
 
 The wild exponent is bounded by MAX_WILD_EXPONENT, so that v(w) = 2^(1-m)
 stays a small exact rational whatever m a caller or a certificate supplies.
@@ -41,6 +42,10 @@ class WeightCharacter:
     m: int
 
     def __post_init__(self):
+        for name in ("k", "m"):
+            x = getattr(self, name)
+            if type(x) is not int:
+                raise TypeError(f"{name} must be an int, got {type(x).__name__}")
         if self.k < 2:
             raise ValueError(f"algebraic weight must be >= 2, got {self.k}")
         if self.m < 0:
@@ -52,18 +57,25 @@ class WeightCharacter:
         return f"k={self.k},m={self.m}"
 
 
+def _reject_center(wc: WeightCharacter) -> None:
+    if wc.m == 0 and wc.k == 2:
+        raise CenterOfWeightSpace("(k=2, m=0) has w = 0")
+
+
 def w_valuation(wc: WeightCharacter) -> Fraction:
     """Closed-form v(w) for the weight character; exact Fraction."""
     if wc.m >= 1:
-        return Fraction(2) ** (1 - wc.m)
-    if wc.k == 2:
-        raise CenterOfWeightSpace("(k=2, m=0) has w = 0")
+        return Fraction(1, 1 << (wc.m - 1))
+    _reject_center(wc)
     if wc.k % 2 == 1:
         return Fraction(2)
     return 2 + Fraction(val(wc.k - 2, 2))
 
 
 def in_boundary(wc: WeightCharacter) -> bool:
-    """True when 0 < v(w) < 3 (the |8| < |w| < 1 annulus)."""
-    v = w_valuation(wc)
-    return 0 < v < 3
+    """True when 0 < v(w) < 3 (the |8| < |w| < 1 annulus): v(w) = 2^(1-m) <= 1
+    for m >= 1, v(w) = 2 for odd k, and v(w) = 2 + v_2(k - 2) >= 3 for even k."""
+    if wc.m >= 1:
+        return True
+    _reject_center(wc)
+    return wc.k % 2 == 1

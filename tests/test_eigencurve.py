@@ -9,15 +9,17 @@ from slopewalk.eigencurve import (
     bk_predicted_slope,
     boundary_point,
     classify,
+    is_numerically_non_critical,
     twin,
     twin_index_sum_check,
 )
 from slopewalk.errors import (
+    CenterOfWeightSpace,
     NonIntegralIndex,
     NotInBoundary,
     NotPotentiallyCrystalline,
 )
-from slopewalk.weightspace import WeightCharacter
+from slopewalk.weightspace import MAX_WILD_EXPONENT, WeightCharacter, in_boundary
 
 
 def _pt(k, m, slope, pc=True):
@@ -107,3 +109,150 @@ def test_boundary_reconstruction_round_trip(pt):
 @given(boundary_points)
 def test_index_sum_holds_on_generated_points(pt):
     assert twin_index_sum_check(pt)
+
+
+# -- the integer closed forms against their Fraction definitions -------------------
+#
+# The definitions below are written from the weightspace docstring and the
+# Buzzard-Kilford index i = slope / v(w); they share no code with src/.
+
+def _v2(n: int) -> int:
+    e = 0
+    while n % 2 == 0:
+        n //= 2
+        e += 1
+    return e
+
+
+def defined_v_w(k: int, m: int) -> Fraction | None:
+    """v(w) by the docstring's closed form; None at the center (2, 0)."""
+    if m >= 1:
+        return Fraction(2) ** (1 - m)
+    if k == 2:
+        return None
+    if k % 2 == 1:
+        return Fraction(2)
+    return 2 + Fraction(_v2(k - 2))
+
+
+def defined_member(k: int, m: int) -> bool:
+    return 0 < defined_v_w(k, m) < 3
+
+
+def defined_index(k: int, m: int, slope: Fraction) -> int | None:
+    """slope / v(w) when that is a positive integer, else None."""
+    ratio = slope / defined_v_w(k, m)
+    return ratio.numerator if ratio.denominator == 1 and ratio >= 1 else None
+
+
+def defined_index_sum(k: int, m: int) -> Fraction:
+    return (k - 1) / defined_v_w(k, m)
+
+
+@st.composite
+def model_points(draw):
+    m = draw(st.one_of(
+        st.integers(0, 6), st.sampled_from([MAX_WILD_EXPONENT - 1, MAX_WILD_EXPONENT]),
+        st.integers(0, MAX_WILD_EXPONENT),
+    ))
+    k = draw(st.one_of(st.integers(2, 12), st.integers(2, 10**6)))  # both parities, k = 2 included
+    kind = draw(st.sampled_from(("zero", "dyadic", "non_dyadic", "on_annulus", "above_k_minus_1")))
+    if kind == "zero":
+        slope = Fraction(0)
+    elif kind == "dyadic":
+        slope = Fraction(draw(st.integers(0, 2**20)), 2 ** draw(st.integers(0, m + 3)))
+    elif kind == "non_dyadic":
+        odd = draw(st.integers(1, 500)) * 2 + 1
+        den = odd * 2 ** draw(st.integers(0, m + 3))
+        slope = Fraction(draw(st.integers(0, 10 * den * k)), den)
+    elif kind == "on_annulus" and defined_v_w(k, m) is not None:
+        slope = draw(st.integers(1, 2**20)) * defined_v_w(k, m)
+    else:
+        slope = k - 1 + Fraction(draw(st.integers(1, 2**12)), draw(st.integers(1, 2**12)))
+    return EigencurvePointModel(WeightCharacter(k, m), slope, pc=draw(st.booleans()))
+
+
+def _center_message(k, m):
+    with pytest.raises(CenterOfWeightSpace) as excinfo:
+        in_boundary(WeightCharacter(k, m))
+    return str(excinfo.value)
+
+
+@given(st.integers(2, 10**6), st.integers(0, MAX_WILD_EXPONENT))
+def test_in_boundary_matches_its_definition(k, m):
+    if defined_v_w(k, m) is None:
+        assert _center_message(k, m) == "(k=2, m=0) has w = 0"
+    else:
+        assert in_boundary(WeightCharacter(k, m)) is defined_member(k, m)
+
+
+@given(model_points())
+def test_annulus_index_matches_its_definition(pt):
+    k, m = pt.k, pt.wc.m
+    if defined_v_w(k, m) is None:
+        with pytest.raises(CenterOfWeightSpace, match=r"^\(k=2, m=0\) has w = 0$"):
+            annulus_index(pt)
+    elif not defined_member(k, m):
+        with pytest.raises(NotInBoundary):
+            annulus_index(pt)
+    elif defined_index(k, m, pt.slope) is None:
+        v = defined_v_w(k, m)
+        with pytest.raises(NonIntegralIndex) as excinfo:
+            annulus_index(pt)
+        assert str(excinfo.value) == f"slope {pt.slope} over v(w) {v} gives index {pt.slope / v}"
+    else:
+        assert annulus_index(pt) == defined_index(k, m, pt.slope)
+
+
+@given(model_points())
+def test_twin_matches_its_definition(pt):
+    if not pt.pc:
+        with pytest.raises(NotPotentiallyCrystalline):
+            twin(pt)
+    elif pt.slope > pt.k - 1:
+        with pytest.raises(ValueError, match="exceeds k-1"):
+            twin(pt)
+    else:
+        tw = twin(pt)
+        assert type(tw.slope) is Fraction and tw.slope == pt.k - 1 - pt.slope
+        assert (tw.wc, tw.pc, tw.classical_claim) == (pt.wc, pt.pc, pt.classical_claim)
+        assert twin(tw) == pt
+    assert is_numerically_non_critical(pt) is (pt.slope < pt.k - 1)
+
+
+@given(model_points())
+def test_twin_index_sum_check_matches_its_definition(pt):
+    k, m = pt.k, pt.wc.m
+    pt = EigencurvePointModel(pt.wc, pt.slope)  # pc, so only the indices can fail
+    defined = (
+        defined_v_w(k, m) is not None
+        and defined_member(k, m)
+        and pt.slope <= k - 1
+        and defined_index(k, m, pt.slope) is not None
+        and defined_index(k, m, k - 1 - pt.slope) is not None
+    )
+    if defined:
+        total = defined_index_sum(k, m)
+        expected = total.denominator == 1 and (
+            defined_index(k, m, pt.slope) + defined_index(k, m, k - 1 - pt.slope) == total
+        )
+        assert twin_index_sum_check(pt) is expected
+    else:
+        with pytest.raises((CenterOfWeightSpace, NotInBoundary, NonIntegralIndex, ValueError)):
+            twin_index_sum_check(pt)
+
+
+# -- only exact values enter the point model ---------------------------------------
+
+@pytest.mark.parametrize("slope", [0.1, "1/2", True, None, 2.0])
+def test_point_rejects_a_slope_that_is_not_an_int_or_a_fraction(slope):
+    with pytest.raises(TypeError, match="slope"):
+        EigencurvePointModel(WeightCharacter(3, 0), slope)
+
+
+def test_int_slope_becomes_a_fraction_and_a_fraction_is_kept():
+    assert type(EigencurvePointModel(WeightCharacter(5, 0), 2).slope) is Fraction
+    half = Fraction(1, 2)
+    assert EigencurvePointModel(WeightCharacter(2, 2), half).slope is half
+    with pytest.raises(ValueError, match="slope must be >= 0"):
+        EigencurvePointModel(WeightCharacter(5, 0), Fraction(-1, 3))

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from certmut import apply_mutation, numeric_fields
+from slopewalk import cli, pingpong
 from slopewalk.eigencurve import EigencurvePointModel, annulus_index
-from slopewalk.errors import ConstraintViolated, PreconditionError
+from slopewalk.errors import ConstraintViolated, InvariantError, PreconditionError
 from slopewalk.pingpong import (
     KIND_START,
     KIND_TWIN,
@@ -270,3 +271,31 @@ def _with_nested_defect(kind):
 def test_wrongly_typed_documents_are_malformed(obj):
     violations = verify_certificate_json(obj)
     assert [v.code for v in violations] == ["Malformed"]
+
+
+def _index_off_by_one(monkeypatch):
+    true_index = pingpong.annulus_index
+    monkeypatch.setattr(pingpong, "annulus_index", lambda pt: true_index(pt) + 1)
+
+
+def _self_twin_seed(monkeypatch):
+    # on X_i, but with slope (k-1)/2: its two refinements share a slope
+    monkeypatch.setattr(
+        pingpong, "_first_step_seed",
+        lambda i, m: EigencurvePointModel(WeightCharacter(4 * i + 1, 0), Fraction(2 * i)),
+    )
+
+
+@pytest.mark.parametrize("breach", [_index_off_by_one, _self_twin_seed])
+def test_a_planner_invariant_breach_raises_and_exits_4(breach, monkeypatch, capsys):
+    breach(monkeypatch)
+    with pytest.raises(InvariantError, match="walk planner"):
+        connect(4, 7)
+    assert cli.main(["pingpong", "4", "7"]) == 4
+    assert "walk planner" in capsys.readouterr().err
+
+
+def test_induction_step_checks_its_indices(monkeypatch):
+    _index_off_by_one(monkeypatch)
+    with pytest.raises(InvariantError, match="induction point off X_7"):
+        induction_step(3)

@@ -8,7 +8,7 @@ from slopewalk.serialize import rat_from_str, rat_to_str
 
 @given(st.one_of(st.integers(), st.booleans(), st.fractions()))
 def test_rat_to_str_is_the_reduced_fraction(x):
-    # ints take a fast path; bools and Fractions the general one
+    # ints and Fractions take fast paths; bools the general one
     f = Fraction(x)
     assert rat_to_str(x) == f"{f.numerator}/{f.denominator}"
     assert rat_from_str(rat_to_str(x)) == f

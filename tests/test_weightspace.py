@@ -72,3 +72,16 @@ def test_invalid_characters_rejected():
         WeightCharacter(1, 0)
     with pytest.raises(ValueError):
         WeightCharacter(5, -1)
+
+
+@pytest.mark.parametrize("k, m, field", [
+    (3.0, 0, "k"),
+    (True, 0, "k"),
+    ("5", 0, "k"),
+    (3, 1.0, "m"),
+    (3, False, "m"),
+    (3, None, "m"),
+])
+def test_only_int_weights_and_exponents_are_accepted(k, m, field):
+    with pytest.raises(TypeError, match=rf"^{field} must be an int"):
+        WeightCharacter(k, m)
