@@ -11,14 +11,24 @@ are underdetermined raise InsufficientPrecision and inconsistent ones raise
 ResidualNonzero, because downstream operator matrices must be certified, not
 merely fitted.
 
-Matrices are lists of row lists with int or Fraction entries (ints are kept
-as ints so that characteristic polynomials of integer matrices stay on the
-fast big-integer path).
+Matrices are lists of row lists with int or Fraction entries. The
+characteristic polynomial is one division-free Berkowitz loop on integers: a
+matrix with a Fraction entry is scaled by the lcm L of its denominators, and
+each coefficient c_i of the scaled matrix is divided once by L^(n-i) at the
+end. Before the loop the integer matrix is balanced 2-adically (Parlett and
+Reinsch's diagonal similarity in powers of the radix, in exact form): it is
+conjugated by a diagonal matrix of powers of 2, chosen so that every scaled
+entry stays an integer, and the common power of 2 of each row and then each
+column is pulled out, leaving diag(2^g) U with small cofactors U and g >= 0.
+Each product then multiplies a cofactor and shifts the sum left by g_i, and
+since every scaled 2-adic valuation is >= 0, every right shift made while
+balancing is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
 
@@ -146,45 +156,126 @@ def kernel_basis(mat: Matrix) -> list[list[Fraction]]:
     return basis
 
 
+def _balance(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """(U, g) with diag(2^g) U an integer matrix similar to the integer
+    matrix m and every g_i >= 0.
+
+    U is m conjugated by D = diag(2^d), D^-1 m D, with each row's and then
+    each column's common power of 2 pulled out: U_ij = m_ij 2^(d_j - d_i -
+    rho_i - kappa_j) and g_i = rho_i + kappa_i, since diag(2^rho) U
+    diag(2^kappa) is similar to diag(2^(rho + kappa)) U.
+
+    d is read off the 2-adic valuations v_ij of the nonzero entries. If they
+    were v_ij = alpha_i + beta_j, then d = -beta would make each row of
+    D^-1 m D one power of 2 times odd cofactors, which the row pull strips
+    to the odd parts (the weight-0 U_2 matrix has v_ij >= 8i - 4j - 1, close
+    to equality, so d_i ~ 4i). So d_(j+1) - d_j is the median, over the rows
+    with entries j and j+1 both nonzero, of v_ij - v_i(j+1), an estimate of
+    beta_j - beta_(j+1) that no single row moves far; it is 0 where no row
+    has both. d is then lowered to the largest d' <= d with every scaled
+    off-diagonal valuation v_ij + d'_j - d'_i >= 0: the shortest-path labels
+    d'_i = min(d_i, d'_j + v_ij) along edges j -> i of length v_ij >= 0,
+    which Dijkstra's order settles once each. So every right shift below is
+    exact and rho, kappa and g are >= 0. When every median is 0, d = 0 is
+    already feasible and the whole balancing is a few O(n^2) passes.
+    """
+    n = len(m)
+    # (j, v_ij) for the nonzero entries of each row
+    val = [[(j, (x & -x).bit_length() - 1) for j, x in enumerate(row) if x] for row in m]
+    diffs: list[list[int]] = [[] for _ in range(n)]
+    for row in val:
+        for (j, a), (k, b) in zip(row, row[1:]):
+            if k == j + 1:
+                diffs[j].append(a - b)
+    d = [0]
+    for dj in diffs[:-1]:
+        dj.sort()
+        d.append(d[-1] + (dj[len(dj) // 2] if dj else 0))
+    if any(d):  # Dijkstra from every index at once, each starting at d_j
+        column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for i, row in enumerate(val):
+            for j, v in row:
+                if j != i:
+                    column[j].append((i, v))
+        heap = [(dj, j) for j, dj in enumerate(d)]
+        heapify(heap)
+        while heap:
+            dj, j = heappop(heap)
+            if dj == d[j]:
+                for i, v in column[j]:
+                    if dj + v < d[i]:
+                        d[i] = dj + v
+                        heappush(heap, (d[i], i))
+    rho = [min(v + d[j] for j, v in row) - d[i] if row else 0 for i, row in enumerate(val)]
+    pulled: list[list[int]] = [[] for _ in range(n)]  # column j after the row pulls
+    for i, row in enumerate(val):
+        for j, v in row:
+            pulled[j].append(v + d[j] - d[i] - rho[i])
+    kappa = [min(col, default=0) for col in pulled]
+    u = [[x << e if e >= 0 else x >> -e
+          for x, e in zip(row, [d[j] - d[i] - rho[i] - kappa[j] for j in range(n)])]
+         for i, row in enumerate(m)]
+    return u, [r + k for r, k in zip(rho, kappa)]
+
+
 def charpoly(mat: Matrix) -> list:
     """Characteristic polynomial det(X I - M), coefficients ascending c_0..c_n.
 
-    Division-free (Berkowitz), so integer matrices produce integer
-    coefficients with no Fraction overhead. c_n = 1. Step r extends the
-    charpoly of the leading r x r minor A to that of the (r+1) x (r+1) one by
-    convolving it with the Toeplitz column 1, -m_rr, -R C, -R A C, ...,
-    -R A^(r-1) C, where R and C are row r and column r cut to the minor.
-    Each row enters a product only over the span of its nonzero columns
-    (the weight-0 U_2 matrix is nonzero only for j/2 <= i <= 2j, so this
-    skips about half of it), and every inner product, the convolution's
-    included, is one sum(map(mul, ...)) over list slices.
+    An integer matrix gives int coefficients. A matrix with a Fraction entry
+    is scaled to integers by the lcm L of its denominators, and c_i is the
+    Fraction c'_i / L^(n-i) of the charpoly c' of L M (c_n stays the int 1),
+    so no Fraction arithmetic runs inside the loop below.
+
+    The integer matrix is replaced by the similar diag(2^g) U of _balance:
+    the entries of the weight-0 U_2 matrix are ~200-bit numbers that are
+    mostly trailing zeros, and U holds their small cofactors, so each
+    product with A^k C below multiplies a cofactor and shifts the sum left
+    by g_i. Division-free Berkowitz then runs on diag(2^g) U: step r extends
+    the charpoly of the leading r x r minor A to that of the (r+1) x (r+1)
+    one by convolving it with the Toeplitz column 1, -m_rr, -R C, -R A C,
+    ..., -R A^(r-1) C, where R and C are row r and column r cut to the
+    minor. Each row enters a product only over the span of its nonzero
+    columns (the weight-0 U_2 matrix is nonzero only for j/2 <= i <= 2j, so
+    this skips about half of it), and every inner product, the
+    convolution's included, is one sum(map(mul, ...)) over list slices.
     """
     n = len(mat)
     if n == 0:
         return [1]
     if any(len(row) != n for row in mat):
         raise ValueError("charpoly needs a square matrix")
+    integral = all(isinstance(x, int) for row in mat for x in row)
+    scale = 1 if integral else lcm(*(x.denominator for row in mat for x in row))
+    ints = mat if integral else [[x.numerator * (scale // x.denominator) for x in row]
+                                 for row in mat]
+    u, g = _balance(ints)
     spans = []  # [first, last + 1) of each row's nonzero columns
-    for row in mat:
+    for row in u:
         nonzero = [j for j, x in enumerate(row) if x]
         spans.append((nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0))
     # v holds the charpoly of the leading principal minor, highest degree first
-    v = [1, -mat[0][0]]
+    v = [1, -ints[0][0]]
     for r in range(1, n):
-        bands = [(mat[i], lo, min(hi, r)) for i, (lo, hi) in enumerate(spans[:r])]
+        bands = [(u[i], lo, min(hi, r)) for i, (lo, hi) in enumerate(spans[:r])]
+        shifted = [(i, g[i]) for i in range(r) if g[i]]
         lo, hi = spans[r][0], min(spans[r][1], r)
-        row = mat[r][lo:hi]
-        w = [mat[i][r] for i in range(r)]  # A^k C
+        row = [x << g[r] for x in u[r][lo:hi]]  # R
+        w = [u[i][r] << g[i] for i in range(r)]  # A^k C
         s = []  # s_k = R A^k C for k = 0..r-1
         for k in range(r):
             s.append(sum(map(mul, row, w[lo:hi])))
             if k < r - 1:
                 w = [sum(map(mul, a[a_lo:a_hi], w[a_lo:a_hi])) for a, a_lo, a_hi in bands]
+                for i, g_i in shifted:
+                    w[i] <<= g_i
         # the Toeplitz column reversed: coefficient i of the product pairs
         # its last i + 1 entries with v[0..i]
-        column = [-x for x in reversed(s)] + [-mat[r][r], 1]
+        column = [-x for x in reversed(s)] + [-ints[r][r], 1]
         v = [sum(map(mul, column[r + 1 - i:], v)) for i in range(r + 2)]
-    return list(reversed(v))
+    v.reverse()
+    if integral:
+        return v
+    return [Fraction(c, scale ** (n - i)) for i, c in enumerate(v[:-1])] + [1]
 
 
 def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:

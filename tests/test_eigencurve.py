@@ -250,6 +250,29 @@ def test_point_rejects_a_slope_that_is_not_an_int_or_a_fraction(slope):
         EigencurvePointModel(WeightCharacter(3, 0), slope)
 
 
+@pytest.mark.parametrize("wc", [(5, 0), None, "k=5,m=0", {"k": 5, "m": 0}])
+def test_point_rejects_a_weight_that_is_not_a_weight_character(wc):
+    with pytest.raises(TypeError, match="wc must be a WeightCharacter"):
+        EigencurvePointModel(wc, Fraction(2))
+
+
+@pytest.mark.parametrize("field", ["pc", "classical_claim"])
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, 1.0])
+def test_point_rejects_a_flag_that_is_not_a_bool(field, flag):
+    with pytest.raises(TypeError, match=f"{field} must be a bool"):
+        EigencurvePointModel(WeightCharacter(5, 0), Fraction(2), **{field: flag})
+
+
+def test_a_string_flag_no_longer_reaches_twin():
+    # "false" is truthy: before the check, twin took this point for potentially crystalline
+    with pytest.raises(TypeError, match="pc must be a bool"):
+        twin(EigencurvePointModel(WeightCharacter(5, 0), 2, pc="false"))
+    pt = EigencurvePointModel(WeightCharacter(5, 0), 2, pc=False, classical_claim=False)
+    assert pt.to_json_obj()["classical"] is False
+    with pytest.raises(NotPotentiallyCrystalline):
+        twin(pt)
+
+
 def test_int_slope_becomes_a_fraction_and_a_fraction_is_kept():
     assert type(EigencurvePointModel(WeightCharacter(5, 0), 2).slope) is Fraction
     half = Fraction(1, 2)

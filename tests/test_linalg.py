@@ -370,4 +370,104 @@ def sparse_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_matrices())
 def test_charpoly_matches_leibniz_expansion(m):
-    assert charpoly(m) == _leibniz_charpoly(m)
+    cp = charpoly(m)
+    assert cp == _leibniz_charpoly(m)
+    _check_types(m, cp)
+
+
+def _expected_type(m, i):
+    """The type charpoly gives c_i: int throughout for an integer matrix,
+    and for a matrix with a Fraction entry Fraction except the monic c_n."""
+    if i == len(m) or all(type(x) is int for row in m for x in row):
+        return int
+    return Fraction
+
+
+# -- charpoly on planted 2-adic structure, against oracles sharing no code ------
+
+@st.composite
+def planted_matrices(draw, max_n=6):
+    """n x n integer matrices whose entry (i, j) is u 2^max(0, a i - b j + e)
+    with u odd or even, of either sign, and exponents up to 300 (the shape of
+    the weight-0 U_2 matrix, where a = 8, b = 4), with zero rows and columns."""
+    n = draw(st.integers(1, max_n))
+    a, b = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
+    e = draw(st.integers(-100, 300))
+    units = draw(st.lists(st.one_of(st.just(0), st.integers(-(2**64), 2**64)),
+                          min_size=n * n, max_size=n * n))
+    m = [[units[i * n + j] << min(300, max(0, a * i - b * j + e)) for j in range(n)]
+         for i in range(n)]
+    indices = st.sets(st.integers(0, n - 1), max_size=2)
+    for i in draw(indices):
+        m[i] = [0] * n
+    for j in draw(indices):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+denominators = st.sampled_from([1, 2, 8, 2**40, 2**200, 3, 5, 9, 15, 3 * 2**7, 7**20])
+
+
+@st.composite
+def planted_fraction_matrices(draw, max_n=6):
+    """planted_matrices divided entrywise by dyadic, odd and mixed denominators."""
+    m = draw(planted_matrices(max_n))
+    return [[Fraction(x, draw(denominators)) for x in row] for row in m]
+
+
+def _check_types(m, cp):
+    assert [type(c) for c in cp] == [_expected_type(m, i) for i in range(len(cp))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(planted_matrices(), planted_fraction_matrices()))
+def test_balanced_charpoly_matches_leibniz_on_planted_valuations(m):
+    cp = charpoly(m)
+    assert cp == _leibniz_charpoly(m)
+    _check_types(m, cp)
+
+
+def _textbook_berkowitz(m):
+    """det(X I - M) ascending by Berkowitz's algorithm in its textbook form:
+    for each leading minor r, the dense (r + 2) x (r + 1) Toeplitz matrix of
+    1, -m_rr, -R C, -R A C, ..., -R A^(r-1) C times the previous minor's
+    coefficients (highest degree first), with no band or scaling."""
+    vec = [1]
+    for r in range(len(m)):
+        a = [row[:r] for row in m[:r]]
+        row_r = m[r][:r]
+        x = [m[i][r] for i in range(r)]
+        col = [1, -m[r][r]]
+        for _ in range(r):
+            col.append(-sum(p * q for p, q in zip(row_r, x)))
+            x = [sum(p * q for p, q in zip(arow, x)) for arow in a]
+        toeplitz = [[col[i - j] if 0 <= i - j < len(col) else 0 for j in range(r + 1)]
+                    for i in range(r + 2)]
+        vec = [sum(t * v for t, v in zip(trow, vec)) for trow in toeplitz]
+    return vec[::-1]
+
+
+def test_textbook_berkowitz_is_an_oracle():
+    comp = [[0, 0, 5], [1, 0, 2], [0, 1, 0]]
+    assert _textbook_berkowitz(comp) == [-5, -2, 0, 1]
+    m = [[3, 1, 0], [2, -1, 4], [0, 5, 2]]
+    assert _textbook_berkowitz(m) == _leibniz_charpoly(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(planted_matrices(24), planted_fraction_matrices(12)))  # Fractions are slow here
+def test_balanced_charpoly_matches_textbook_berkowitz(m):
+    cp = charpoly(m)
+    assert cp == _textbook_berkowitz(m)
+    _check_types(m, cp)
+
+
+def test_charpoly_of_the_u2_matrices_matches_textbook_berkowitz():
+    from slopewalk.overconvergent import u2_matrix_weight0
+
+    for n in range(1, 25):
+        m = [list(row) for row in u2_matrix_weight0(n, 2 * n + 8).matrix]
+        cp = charpoly(m)
+        assert cp == _textbook_berkowitz(m), n
+        assert all(type(c) is int for c in cp)
