@@ -42,8 +42,9 @@ class EigencurvePointModel:
         if not isinstance(self.wc, WeightCharacter):
             raise TypeError(f"wc must be a WeightCharacter, got {type(self.wc).__name__}")
         for name in ("pc", "classical_claim"):
-            if type(getattr(self, name)) is not bool:
-                raise TypeError(f"{name} must be a bool, got {type(getattr(self, name)).__name__}")
+            flag = getattr(self, name)
+            if type(flag) is not bool:
+                raise TypeError(f"{name} must be a bool, got {type(flag).__name__}")
         slope = self.slope
         if not isinstance(slope, Fraction):
             if type(slope) is not int:

@@ -20,9 +20,10 @@ Reinsch's diagonal similarity in powers of the radix, in exact form): it is
 conjugated by a diagonal matrix of powers of 2, chosen so that every scaled
 entry stays an integer, and the common power of 2 of each row and then each
 column is pulled out, leaving diag(2^g) U with small cofactors U and g >= 0.
-Each product then multiplies a cofactor and shifts the sum left by g_i, and
-since every scaled 2-adic valuation is >= 0, every right shift made while
-balancing is exact.
+Each product then multiplies a cofactor and shifts the sum left by g_i. The
+powers pulled out are the least valuations of their rows and columns, so
+every right shift made while balancing is exact, and the similarity keeps
+every scaled off-diagonal valuation >= 0, so every g_i is too.
 """
 
 from __future__ import annotations
@@ -175,9 +176,10 @@ def _balance(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     has both. d is then lowered to the largest d' <= d with every scaled
     off-diagonal valuation v_ij + d'_j - d'_i >= 0: the shortest-path labels
     d'_i = min(d_i, d'_j + v_ij) along edges j -> i of length v_ij >= 0,
-    which Dijkstra's order settles once each. So every right shift below is
-    exact and rho, kappa and g are >= 0. When every median is 0, d = 0 is
-    already feasible and the whole balancing is a few O(n^2) passes.
+    which Dijkstra's order settles once each. So rho, kappa and g are >= 0,
+    and as rho and kappa are least valuations every right shift below is
+    exact. When every median is 0, d = 0 is already feasible and the whole
+    balancing is a few O(n^2) passes.
     """
     n = len(m)
     # (j, v_ij) for the nonzero entries of each row

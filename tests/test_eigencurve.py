@@ -259,18 +259,9 @@ def test_point_rejects_a_weight_that_is_not_a_weight_character(wc):
 @pytest.mark.parametrize("field", ["pc", "classical_claim"])
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, 1.0])
 def test_point_rejects_a_flag_that_is_not_a_bool(field, flag):
+    # "false" is truthy, so twin took such a point for potentially crystalline
     with pytest.raises(TypeError, match=f"{field} must be a bool"):
         EigencurvePointModel(WeightCharacter(5, 0), Fraction(2), **{field: flag})
-
-
-def test_a_string_flag_no_longer_reaches_twin():
-    # "false" is truthy: before the check, twin took this point for potentially crystalline
-    with pytest.raises(TypeError, match="pc must be a bool"):
-        twin(EigencurvePointModel(WeightCharacter(5, 0), 2, pc="false"))
-    pt = EigencurvePointModel(WeightCharacter(5, 0), 2, pc=False, classical_claim=False)
-    assert pt.to_json_obj()["classical"] is False
-    with pytest.raises(NotPotentiallyCrystalline):
-        twin(pt)
 
 
 def test_int_slope_becomes_a_fraction_and_a_fraction_is_kept():

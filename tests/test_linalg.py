@@ -367,20 +367,20 @@ def sparse_matrices(draw):
     return m
 
 
+def _check_types(m, cp):
+    """charpoly gives ints throughout for an integer matrix, and for a matrix
+    with a Fraction entry Fractions except the monic c_n."""
+    integral = all(type(x) is int for row in m for x in row)
+    assert [type(c) for c in cp] == [int if integral or i == len(m) else Fraction
+                                     for i in range(len(cp))]
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_matrices())
 def test_charpoly_matches_leibniz_expansion(m):
     cp = charpoly(m)
     assert cp == _leibniz_charpoly(m)
     _check_types(m, cp)
-
-
-def _expected_type(m, i):
-    """The type charpoly gives c_i: int throughout for an integer matrix,
-    and for a matrix with a Fraction entry Fraction except the monic c_n."""
-    if i == len(m) or all(type(x) is int for row in m for x in row):
-        return int
-    return Fraction
 
 
 # -- charpoly on planted 2-adic structure, against oracles sharing no code ------
@@ -414,10 +414,6 @@ def planted_fraction_matrices(draw, max_n=6):
     """planted_matrices divided entrywise by dyadic, odd and mixed denominators."""
     m = draw(planted_matrices(max_n))
     return [[Fraction(x, draw(denominators)) for x in row] for row in m]
-
-
-def _check_types(m, cp):
-    assert [type(c) for c in cp] == [_expected_type(m, i) for i in range(len(cp))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,7 +452,7 @@ def test_textbook_berkowitz_is_an_oracle():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(planted_matrices(24), planted_fraction_matrices(12)))  # Fractions are slow here
+@given(st.one_of(planted_matrices(24), planted_fraction_matrices(12)))  # the oracle is slow on big Fractions
 def test_balanced_charpoly_matches_textbook_berkowitz(m):
     cp = charpoly(m)
     assert cp == _textbook_berkowitz(m)
@@ -470,4 +466,4 @@ def test_charpoly_of_the_u2_matrices_matches_textbook_berkowitz():
         m = [list(row) for row in u2_matrix_weight0(n, 2 * n + 8).matrix]
         cp = charpoly(m)
         assert cp == _textbook_berkowitz(m), n
-        assert all(type(c) is int for c in cp)
+        _check_types(m, cp)

@@ -67,7 +67,7 @@ def test_frozen_n20_fixture_reproduced():
 
 
 def test_every_truncated_spectrum_matches_buzzard_calegari():
-    # past oc-ladder's N = 30..34; at N = 60 charpoly shifts by up to ~250 bits
+    # past oc-ladder's N = 30..34; at N = 60 charpoly shifts sums by up to 237 bits
     for n in [*range(1, 33), 40, 48, 60]:
         report = oc_slopes(u2_matrix_weight0(n, 2 * n + 8))
         assert list(report.slopes) == _nbuzzard_calegari(n), f"N={n}"
