@@ -270,14 +270,21 @@ def charpoly(mat: Matrix) -> list:
                 w = [sum(map(mul, a[a_lo:a_hi], w[a_lo:a_hi])) for a, a_lo, a_hi in bands]
                 for i, g_i in shifted:
                     w[i] <<= g_i
-        # the Toeplitz column reversed: coefficient i of the product pairs
-        # its last i + 1 entries with v[0..i]
-        column = [-x for x in reversed(s)] + [-ints[r][r], 1]
-        v = [sum(map(mul, column[r + 1 - i:], v)) for i in range(r + 2)]
+        # v times the Toeplitz column 1, -m_rr, -s_0, ..., -s_(r-1), both
+        # read highest degree first
+        v = truncated_product([1, -ints[r][r], *(-x for x in s)], v, r + 2)
     v.reverse()
     if integral:
         return v
     return [Fraction(c, scale ** (n - i)) for i, c in enumerate(v[:-1])] + [1]
+
+
+def truncated_product(a: list, b: list, n: int) -> list:
+    """The first n coefficients of the product of the ascending coefficient
+    lists a and b; coefficient i is one inner product of a with the reversed
+    b, and those past len(a) + len(b) - 2 are 0."""
+    rb, last = b[::-1], len(b) - 1
+    return [sum(map(mul, a[max(0, i - last):i + 1], rb[max(0, last - i):])) for i in range(n)]
 
 
 def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:

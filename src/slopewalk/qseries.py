@@ -12,17 +12,19 @@ Conventions for the constructors:
     theta              Theta = 1 + 2 * sum q^(n^2)
     sigma_odd_weight2  sum over odd n of sigma_1(n) q^n
     eisenstein2_level2 2 E_2(q^2) - E_2(q)
-    hauptmodul_f       q * prod (1 + q^n)^24     (equals Delta(q^2)/Delta(q))
+    hauptmodul_f       q * prod (1 + q^n)^24     (equals Delta(q^2)/Delta(q)),
+                       the power by five linalg.truncated_product calls
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 from numbers import Rational
 
 from .errors import InsufficientPrecision
+from .linalg import truncated_product
 
 Rat = int | Fraction
 
@@ -107,16 +109,7 @@ class QSeries:
             return self.scalar_mul(other)
         # product precision accounts for leading zeros in either factor
         p = min(self.prec + other.order(), other.prec + self.order())
-        out = [0] * p
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                n = i + j
-                if n >= p:
-                    break
-                if b != 0:
-                    out[n] += a * b
+        out = truncated_product(self.coeffs[:p], other.coeffs[:p], p)
         return QSeries(tuple(_norm(c) for c in out), p)
 
     __rmul__ = __mul__
@@ -145,24 +138,6 @@ def eisenstein(k: int, prec: int) -> QSeries:
     return QSeries.from_coeffs([1] + [c * sig[n] for n in range(1, prec)])
 
 
-def _eta_style_product(sign: int, exponent: int, prec: int) -> list[int]:
-    """Coefficients of prod_{n>=1} (1 + sign q^n)^exponent up to q^(prec-1)."""
-    out = [0] * prec
-    out[0] = 1
-    for n in range(1, prec):
-        nxt = [0] * prec
-        for j in range(exponent + 1):
-            e = j * n
-            if e >= prec:
-                break
-            b = comb(exponent, j) * (sign**j)
-            for i in range(prec - e):
-                if out[i]:
-                    nxt[i + e] += b * out[i]
-        out = nxt
-    return out
-
-
 def theta(prec: int) -> QSeries:
     """Jacobi theta: 1 + 2 sum_{n>=1} q^(n^2)."""
     out = [0] * prec
@@ -185,9 +160,15 @@ def eisenstein2_level2(prec: int) -> QSeries:
 
 
 def hauptmodul_f(prec: int) -> QSeries:
-    """The level-2 hauptmodul q * prod (1 + q^n)^24 = Delta(q^2)/Delta(q)."""
-    prod = _eta_style_product(+1, 24, prec)
-    return QSeries.from_coeffs([0] + prod[: prec - 1])
+    """The level-2 hauptmodul q * prod (1 + q^n)^24 = Delta(q^2)/Delta(q): the
+    product by shifted adds, then p^24 = p^8 (p^8)^2 after three squarings."""
+    n = prec - 1
+    p = [1] + [0] * (n - 1)
+    for m in range(1, n):
+        p[m:] = [x + y for x, y in zip(p[m:], p)]
+    for _ in range(3):
+        p = truncated_product(p, p, n)
+    return QSeries.from_coeffs([0] + truncated_product(p, truncated_product(p, p, n), n))
 
 
 # -- Hecke-type operators -----------------------------------------------------

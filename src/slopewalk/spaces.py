@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 
 from . import linalg
 from .errors import (
@@ -88,11 +88,18 @@ def monomial_exponents(level: Level, k: int) -> list[tuple[int, int]]:
 
 
 def expected_dimension(level: Level, k: int) -> int:
-    return len(monomial_exponents(level, k))
+    """len(monomial_exponents(level, k)) in O(1): the b in 0..k // w2 with b w2
+    = k (mod w1) are one residue class modulo w1 / g if g = gcd(w1, w2) | k."""
+    w1, w2 = level.generator_weights
+    g = gcd(w1, w2)
+    if k % g:
+        return 0
+    step = w1 // g
+    return len(range(k // g * pow(w2 // g, -1, step) % step, k // w2 + 1, step))
 
 
 def sturm_bound(level: Level, k: int) -> int:
-    return ceil(k * level.projective_index / 12)
+    return -(-k * level.projective_index // 12)
 
 
 def _check_weight(level: Level, k: int) -> None:

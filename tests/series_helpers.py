@@ -1,13 +1,16 @@
 """q-series helpers that only the tests use: the discriminant form and
 equality of truncated series to their shared precision."""
 
-from slopewalk.qseries import QSeries, _eta_style_product
+from oracle_store import _ncoeff, _ndelta
+from slopewalk.qseries import QSeries
 
 
 def delta(prec: int) -> QSeries:
-    """The discriminant cusp form: q * prod (1 - q^n)^24."""
-    prod = _eta_style_product(-1, 24, prec)
-    return QSeries.from_coeffs([0] + prod[: prec - 1])
+    """The discriminant cusp form q * prod (1 - q^n)^24, multiplied out by the
+    oracle store's own dict arithmetic, so it shares no code with slopewalk's
+    products."""
+    d = _ndelta(prec)
+    return QSeries.from_coeffs([_ncoeff(d, n) for n in range(prec)])
 
 
 def agrees(a: QSeries, b: QSeries) -> bool:

@@ -360,6 +360,16 @@ def test_slopes_tp_precision_cap_exit_code(capsys):
     assert "needs q-precision 1739 > 1500" in err
 
 
+def test_slopes_tp_precision_cap_is_quick_at_a_huge_weight():
+    # refused from the formula for the dimension, without listing monomials
+    argv = ["slopes", "--level", "sl2z", "--k", str(10**12), "--op", "tp", "--p", "3"]
+    proc = subprocess.run([sys.executable, "-m", "slopewalk.cli", *argv], capture_output=True,
+                          text=True, env=CHILD_ENV, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: T_3 on weight {10**12} at level sl2z needs q-precision "
+                           "500000000034 > 1500\n")
+
+
 def test_invariant_breach_exit_code(capsys, monkeypatch):
     import slopewalk.spaces as spaces
     from slopewalk.errors import InvariantError
@@ -388,6 +398,23 @@ def test_determinism_byte_identical(capsys):
     _, c1 = run_cli(capsys, "pingpong", "9", "2")
     _, c2 = run_cli(capsys, "pingpong", "9", "2")
     assert c1 == c2
+
+
+@pytest.mark.parametrize("argv", [
+    ["slopes", "--level", "sl2z", "--k", "24", "--op", "t2"],
+    ["slopes", "--level", "gamma0_2", "--k", "16", "--op", "u2"],
+    ["slopes", "--level", "gamma1_4", "--k", "9", "--op", "u2"],
+    ["oc", "--trunc", "20"],
+    ["pingpong", "9", "2"],
+    ["hatada", "--kmax", "30"],
+], ids=["slopes-sl2z", "slopes-gamma0_2", "slopes-gamma1_4", "oc", "pingpong", "hatada"])
+def test_determinism_across_processes(argv):
+    # fresh interpreters with different string hashing print the same bytes
+    runs = [subprocess.run([sys.executable, "-m", "slopewalk.cli", *argv], capture_output=True,
+                           env=dict(CHILD_ENV, PYTHONHASHSEED=seed), timeout=120)
+            for seed in ("0", "1")]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout
 
 
 def test_cache_roundtrip_and_verify(capsys, tmp_path):

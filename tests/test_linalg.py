@@ -13,6 +13,7 @@ from slopewalk.linalg import (
     rational_roots,
     rref,
     solve_exact,
+    truncated_product,
 )
 
 
@@ -467,3 +468,43 @@ def test_charpoly_of_the_u2_matrices_matches_textbook_berkowitz():
         cp = charpoly(m)
         assert cp == _textbook_berkowitz(m), n
         _check_types(m, cp)
+
+
+# -- truncated_product against a double loop ------------------------------------
+
+def _double_loop_product(a, b, n):
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return out
+
+
+product_coefficients = st.one_of(
+    st.just(0),
+    st.integers(-(2**300), 2**300),
+    st.fractions(max_denominator=30),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(product_coefficients, max_size=14),
+    st.lists(product_coefficients, max_size=14),
+    st.integers(0, 32),
+    st.integers(0, 4),
+)
+def test_truncated_product_matches_a_double_loop(a, b, n, leading_zeros):
+    a = [0] * leading_zeros + a
+    out = truncated_product(a, b, n)
+    assert out == _double_loop_product(a, b, n)
+    assert len(out) == n
+    assert [type(x) for x in out] == [type(x) for x in _double_loop_product(a, b, n)]
+
+
+def test_truncated_product_edge_cases():
+    assert truncated_product([1, 2], [3], 0) == []
+    assert truncated_product([], [1, 2], 3) == [0, 0, 0]
+    assert truncated_product([1, 1], [1, -1], 5) == [1, 0, -1, 0, 0]  # n past len(a) + len(b) - 1
+    assert truncated_product([1, 2, 3], [4, 5], 2) == [4, 13]

@@ -1,7 +1,9 @@
-import pytest
-from hypothesis import given, strategies as st
+from fractions import Fraction
 
-from oracle_store import fixture_value
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracle_store import _ncoeff, _nhauptmodul, fixture_value
 from slopewalk.errors import InsufficientPrecision
 from slopewalk.qseries import (
     QSeries,
@@ -32,9 +34,14 @@ def test_hauptmodul_prefix_matches_division_oracle():
     assert list(hauptmodul_f(3).coeffs) == _frozen("hauptmodul_prefix_3")  # q + 24q^2
 
 
-def test_hauptmodul_times_delta_is_delta_of_q_squared():
-    f = hauptmodul_f(12)
-    assert agrees(f * delta(12), v_p(delta(8), 2))
+@pytest.mark.parametrize("prec", [1, 2, 3, 12, 40, 80])
+def test_hauptmodul_times_delta_is_delta_of_q_squared(prec):
+    f = hauptmodul_f(prec)
+    assert f.prec == prec and all(type(c) is int for c in f.coeffs)
+    assert agrees(f * delta(prec), v_p(delta(prec // 2 + 1), 2))
+    if prec <= 40:  # the modular-equation check's q-precision
+        oracle = _nhauptmodul(prec)
+        assert list(f.coeffs) == [_ncoeff(oracle, n) for n in range(prec)]
 
 
 def test_eisenstein_prefactors():
@@ -65,6 +72,10 @@ def test_mul_precision_accounts_for_leading_zeros():
     prod = d * d
     assert prod.prec == 7  # 6 + 1
     assert prod.coeffs[:4] == (0, 0, 1, -48)
+    zero, q2 = QSeries.zero(3), QSeries.from_coeffs([0, 0, 1], 4)
+    assert (zero * QSeries.one(5)).prec == 3  # 3 + 0 < 5 + 3
+    assert zero * q2 == q2 * zero == QSeries.zero(5)  # 3 + 2 < 4 + 3
+    assert zero * zero == QSeries.zero(6)
 
 
 def test_u_p_examples():
@@ -125,3 +136,43 @@ def test_ring_laws_to_justified_precision(a, b, c):
 @given(small_series, st.sampled_from([2, 3]))
 def test_u_after_v_identity_property(a, p):
     assert u_p(v_p(a, p), p) == a
+
+
+# -- the product against a naive double loop -------------------------------------
+
+def _naive_product(a, b):
+    """The coefficients and precision of a * b, from the known coefficients
+    alone: the precision is prec_a + ord_b or prec_b + ord_a, whichever is
+    smaller, ord the index of the first nonzero coefficient (prec if none)."""
+    order = lambda s: next((i for i, c in enumerate(s.coeffs) if c != 0), s.prec)
+    prec = min(a.prec + order(b), b.prec + order(a))
+    out = [Fraction(0)] * prec
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            if i + j < prec:
+                out[i + j] += x * y
+    return out, prec
+
+
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(-(2**300), 2**300),
+    st.fractions(max_denominator=12).filter(lambda x: x.denominator > 1),
+)
+product_series = st.builds(
+    lambda zeros, cs, tail: QSeries.from_coeffs([0] * zeros + cs, max(1, zeros + len(cs) + tail)),
+    st.integers(0, 6),
+    st.lists(coefficients, max_size=12),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_series, product_series)
+def test_mul_matches_the_naive_product(a, b):
+    out, prec = _naive_product(a, b)
+    prod = a * b
+    assert prod.prec == prec
+    assert list(prod.coeffs) == out
+    for c in prod.coeffs:  # integral coefficients are ints, the others Fractions
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from oracle_store import _nquad_ratio_order, fixture_value
 from series_helpers import agrees, delta
@@ -22,6 +23,8 @@ from slopewalk.spaces import (
     cusp_subspace_level1,
     expected_dimension,
     extract_slope_eigenform,
+    monomial_exponents,
+    sturm_bound,
     hatada_check,
     is_n_regular,
     operator_matrix,
@@ -351,6 +354,20 @@ def test_t3_and_t5_commute_on_gamma1_4(k):
     t3 = operator_matrix("tp", space, p=3).as_lists()
     t5 = operator_matrix("tp", space, p=5).as_lists()
     assert mat_mul(t3, t5) == mat_mul(t5, t3)
+
+
+@given(st.sampled_from(list(Level)), st.integers(-(10**30), 10**30))
+@example(Level.SL2Z, 12 * 2**53 + 1)  # a float ceiling gives 2^53
+@example(Level.GAMMA0_2, 4 * 2**53 + 2)
+def test_sturm_bound_is_the_exact_ceiling(level, k):
+    mu = {Level.SL2Z: 1, Level.GAMMA0_2: 3, Level.GAMMA1_4: 12}[level]
+    assert sturm_bound(level, k) == -(-k * mu // 12)
+
+
+def test_expected_dimension_counts_the_monomials():
+    for level in Level:
+        for k in range(-5, 2001):
+            assert expected_dimension(level, k) == len(monomial_exponents(level, k)), (level, k)
 
 
 def test_tp_precision_is_scaled_with_p():
