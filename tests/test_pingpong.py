@@ -189,6 +189,48 @@ def test_within_annulus_index_mismatch_is_a_violation():
     assert "IndexMismatch" in codes
 
 
+def _one_move(kind, src, dst):
+    return verify_certificate(PingPongCertificate((1, 1), (Move(kind, src, dst, "lem_ping_pong"),), ()))
+
+
+def _codes(violations, code):
+    return [v for v in violations if v.code == code]
+
+
+def test_an_off_boundary_twin_source_is_reported_once():
+    off = EigencurvePointModel(WeightCharacter(10, 0), Fraction(2))  # k even, m = 0: v(w) = 5
+    violations = _one_move(KIND_TWIN, off, EigencurvePointModel(WeightCharacter(9, 0), Fraction(6)))
+    assert len(_codes(violations, "NotInBoundary")) == 1
+
+
+def test_a_twin_source_above_k_minus_1_is_only_twin_undefined():
+    steep = EigencurvePointModel(WeightCharacter(9, 0), Fraction(10))  # on X_5, slope > k - 1 = 8
+    codes = [v.code for v in _one_move(KIND_TWIN, steep, steep)]
+    assert "TwinUndefined" in codes and "ValueError" not in codes
+
+
+def test_a_centre_start_point_is_reported_once_per_side():
+    centre = EigencurvePointModel(WeightCharacter(2, 0), Fraction(1))
+    violations = _one_move(KIND_START, centre, centre)
+    assert len(_codes(violations, "CenterOfWeightSpace")) == 2
+
+
+def test_a_non_integral_twin_source_is_reported_once():
+    half = EigencurvePointModel(WeightCharacter(9, 0), Fraction(3))  # index 3/2
+    violations = _one_move(KIND_TWIN, half, EigencurvePointModel(WeightCharacter(9, 0), Fraction(6)))
+    assert [v.move for v in _codes(violations, "NonIntegralIndex")] == [0]
+    assert _codes(violations, "TwinArithmetic")
+
+
+def test_an_unindexed_first_point_does_not_mask_the_last_endpoint():
+    obj = connect(4, 7).to_json_obj()
+    obj["moves"][0]["from"]["k"] = 22  # off the boundary annulus: no index
+    obj["endpoints"][1] = 9
+    violations = verify_certificate_json(obj)
+    assert (7, "EndpointMismatch") in [(v.move, v.code) for v in violations]
+    assert (0, "EndpointMismatch") not in [(v.move, v.code) for v in violations]
+
+
 def test_malformed_json_is_a_violation_not_an_exception():
     assert verify_certificate_json({"schema": 1}) != []
     assert verify_certificate_json({"schema": 99, "endpoints": [1, 1], "moves": []}) != []
@@ -204,7 +246,11 @@ def test_single_field_mutations_always_caught():
         obj = connect(i, j).to_json_obj()
         _, path = rng.choice(numeric_fields(obj))
         delta = rng.choice([-3, -2, -1, 1, 2, 3])
-        assert verify_certificate_json(apply_mutation(obj, path, delta)), (i, j, path, delta)
+        violations = verify_certificate_json(apply_mutation(obj, path, delta))
+        assert violations, (i, j, path, delta)
+        # each fact once: no line repeats, and nothing leaks as a bare ValueError
+        assert len(set(violations)) == len(violations), (i, j, path, delta, violations)
+        assert not {v.code for v in violations} & {"ValueError", "IndexSumViolation"}, violations
 
 
 JSON_VALUES = st.recursive(
@@ -245,6 +291,14 @@ def _with_nested_defect(kind):
         obj["schema"] = True
     elif kind == "m-bool":
         obj["moves"][0]["from"]["m"] = False
+    elif kind == "kind-int":
+        obj["moves"][0]["kind"] = 1
+    elif kind == "justification-null":
+        obj["moves"][1]["justification"] = None
+    elif kind == "tag-int":
+        obj["assumptions"][0]["tag"] = 7
+    elif kind == "status-null":
+        obj["assumptions"][0]["status"] = None
     return obj
 
 
@@ -265,6 +319,10 @@ def _with_nested_defect(kind):
             "schema-string",
             "schema-bool",
             "m-bool",
+            "kind-int",
+            "justification-null",
+            "tag-int",
+            "status-null",
         )
     ],
 )
@@ -293,6 +351,17 @@ def test_a_planner_invariant_breach_raises_and_exits_4(breach, monkeypatch, caps
         connect(4, 7)
     assert cli.main(["pingpong", "4", "7"]) == 4
     assert "walk planner" in capsys.readouterr().err
+
+
+def test_connect_checks_its_end_seed(monkeypatch):
+    true_seed = pingpong._first_step_seed
+    monkeypatch.setattr(
+        pingpong, "_first_step_seed",
+        # X_7's seed gets slope (k-1)/2: its refinements share a slope
+        lambda i, m: true_seed(i, m) if i != 7 else EigencurvePointModel(WeightCharacter(29, 0), Fraction(14)),
+    )
+    with pytest.raises(InvariantError, match="walk planner"):
+        connect(4, 7)
 
 
 def test_induction_step_checks_its_indices(monkeypatch):
