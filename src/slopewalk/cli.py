@@ -44,7 +44,7 @@ def _lazy_module(name: str):
 # use. It is a lazily executed module rather than a function-level import
 # because the benchmark's tracer (perfbench/tracing.py) patches functions in
 # sys.modules["slopewalk.spaces"] after importing only cli; once spans live
-# inside slopewalk (ROADMAP item 3), this becomes a plain import in the
+# inside slopewalk (ROADMAP item 5), this becomes a plain import in the
 # commands that use it. The eigencurve, overconvergent, pingpong and
 # weightspace modules are imported by the commands that use them.
 spaces = _lazy_module(f"{__package__}.spaces")

@@ -24,10 +24,18 @@ Each product then multiplies a cofactor and shifts the sum left by g_i. The
 powers pulled out are the least valuations of their rows and columns, so
 every right shift made while balancing is exact, and the similarity keeps
 every scaled off-diagonal valuation >= 0, so every g_i is too.
+
+Berkowitz's step r needs only the leading (r+1) x (r+1) block, so from
+FORK_MIN_N rows on, on a second CPU, charpoly runs the top steps' Krylov
+sequences in one forked child process (see charpoly). The coefficients are
+the same integers, of the same types, whether it forks or not.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -220,6 +228,138 @@ def _balance(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return u, [r + k for r, k in zip(rho, kappa)]
 
 
+def _krylov_sequence(u: list[list[int]], g: list[int], spans: list[tuple[int, int]],
+                     r: int) -> list[int]:
+    """Berkowitz step r on the integer matrix diag(2^g) U: s_k = R A^k C for
+    k = 0..r-1, where A is the leading r x r minor and R and C are row r and
+    column r cut to it. Each row enters a product only over its span
+    [first, last + 1) of nonzero columns. The step reads nothing but the
+    leading (r + 1) x (r + 1) block, so the steps can run in any order."""
+    bands = [(u[i], lo, min(hi, r)) for i, (lo, hi) in enumerate(spans[:r])]
+    shifted = [(i, g[i]) for i in range(r) if g[i]]
+    lo, hi = spans[r][0], min(spans[r][1], r)
+    row = [x << g[r] for x in u[r][lo:hi]]  # R
+    w = [u[i][r] << g[i] for i in range(r)]  # A^k C
+    s = []
+    for k in range(r):
+        s.append(sum(map(mul, row, w[lo:hi])))
+        if k < r - 1:
+            w = [sum(map(mul, a[a_lo:a_hi], w[a_lo:a_hi])) for a, a_lo, a_hi in bands]
+            for i, g_i in shifted:
+                w[i] <<= g_i
+    return s
+
+
+# The smallest n whose charpoly forks a child; below it the fork and the pipe
+# cost more than the child saves.
+FORK_MIN_N = 16
+# Estimated cost of step r, in units of r^4: a Krylov sequence costs 4 and
+# the Toeplitz product that folds it into v costs 1.
+_KRYLOV_WEIGHT, _TOEPLITZ_WEIGHT = 4, 1
+
+
+def _child_first_step(n: int) -> int:
+    """The first Berkowitz step that a forked child computes, or n when
+    nothing is forked: no os.fork, fewer than two usable CPUs, a second
+    thread running (forking it is unsafe), or n below FORK_MIN_N. The child
+    takes the top steps, as many as keep its estimated Krylov cost within
+    half of the whole charpoly's."""
+    if n < FORK_MIN_N or not hasattr(os, "fork"):
+        return n
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    threading = sys.modules.get("threading")
+    if cpus < 2 or (threading is not None and threading.active_count() > 1):
+        return n
+    budget = (_KRYLOV_WEIGHT + _TOEPLITZ_WEIGHT) * sum(r**4 for r in range(1, n)) // 2
+    first = n
+    while first > 1 and _KRYLOV_WEIGHT * (first - 1) ** 4 <= budget:
+        first -= 1
+        budget -= _KRYLOV_WEIGHT * first**4
+    return first
+
+
+class _KrylovChild:
+    """A forked process that computes _krylov_sequence for the steps
+    first..n-1 in order, and streams each s to this one as soon as it is
+    done: 8 bytes of length, then the marshal bytes of the list.
+
+    The child ends only through os._exit, so it never flushes the stdio
+    buffers it inherited, and it stops once this process is gone. The parent
+    drains the pipe between its own steps so that the child seldom blocks on
+    a full pipe, and reap() kills the child unless every step arrived and
+    waits for it, so no process or zombie is left behind.
+    """
+
+    def __init__(self, u: list[list[int]], g: list[int], spans: list[tuple[int, int]],
+                 first: int, n: int):
+        read_fd, write_fd = os.pipe()
+        parent = os.getpid()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                for r in range(first, n):
+                    if os.getppid() != parent:
+                        break
+                    data = marshal.dumps(_krylov_sequence(u, g, spans, r))
+                    view = memoryview(len(data).to_bytes(8, "little") + data)
+                    while view:
+                        view = view[os.write(write_fd, view):]
+                else:
+                    status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pid, self.fd, self.buf = pid, read_fd, bytearray()
+        self.pending, self.ended = n - first, False
+
+    def _read(self, block: bool) -> bool:
+        """Append what the pipe holds to buf; False when nothing more can be
+        read now (the pipe is empty without block, or at its end)."""
+        os.set_blocking(self.fd, block)
+        try:
+            chunk = os.read(self.fd, 1 << 16)
+        except BlockingIOError:
+            return False
+        self.buf += chunk
+        self.ended = not chunk
+        return bool(chunk)
+
+    def drain(self) -> None:
+        while not self.ended and self._read(False):
+            pass
+
+    def take(self) -> list[int] | None:
+        """The next step's s, waiting for it; None once the stream has ended
+        without it."""
+        buf = self.buf
+        while True:
+            if len(buf) >= 8:
+                end = 8 + int.from_bytes(buf[:8], "little")
+                if len(buf) >= end:
+                    s = marshal.loads(buf[8:end])
+                    del buf[:end]
+                    self.pending -= 1
+                    return s
+            if self.ended or not self._read(True):
+                return None
+
+    def reap(self) -> None:
+        os.close(self.fd)
+        if self.pending:
+            os.kill(self.pid, 9)  # SIGKILL
+        os.wait4(self.pid, 0)
+
+
 def charpoly(mat: Matrix) -> list:
     """Characteristic polynomial det(X I - M), coefficients ascending c_0..c_n.
 
@@ -240,6 +380,17 @@ def charpoly(mat: Matrix) -> list:
     columns (the weight-0 U_2 matrix is nonzero only for j/2 <= i <= 2j, so
     this skips about half of it), and every inner product, the
     convolution's included, is one sum(map(mul, ...)) over list slices.
+
+    The Krylov sequences R A^k C are ~80% of the time, and step r's reads
+    only the leading (r+1) x (r+1) block. So for n >= FORK_MIN_N, with a
+    second usable CPU, os.fork and no other thread running, a forked child
+    computes the top steps from _child_first_step(n) on, about half of the
+    estimated work, and streams each sequence back as soon as it is done;
+    this process computes the low steps and runs the Toeplitz convolutions
+    of all of them in order. The output is the same, byte for byte, either
+    way: the child runs the same _krylov_sequence, and a step it did not
+    deliver whole is computed here. No child outlives the call, whether it
+    returns or raises.
     """
     n = len(mat)
     if n == 0:
@@ -255,24 +406,26 @@ def charpoly(mat: Matrix) -> list:
     for row in u:
         nonzero = [j for j, x in enumerate(row) if x]
         spans.append((nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0))
-    # v holds the charpoly of the leading principal minor, highest degree first
-    v = [1, -ints[0][0]]
-    for r in range(1, n):
-        bands = [(u[i], lo, min(hi, r)) for i, (lo, hi) in enumerate(spans[:r])]
-        shifted = [(i, g[i]) for i in range(r) if g[i]]
-        lo, hi = spans[r][0], min(spans[r][1], r)
-        row = [x << g[r] for x in u[r][lo:hi]]  # R
-        w = [u[i][r] << g[i] for i in range(r)]  # A^k C
-        s = []  # s_k = R A^k C for k = 0..r-1
-        for k in range(r):
-            s.append(sum(map(mul, row, w[lo:hi])))
-            if k < r - 1:
-                w = [sum(map(mul, a[a_lo:a_hi], w[a_lo:a_hi])) for a, a_lo, a_hi in bands]
-                for i, g_i in shifted:
-                    w[i] <<= g_i
-        # v times the Toeplitz column 1, -m_rr, -s_0, ..., -s_(r-1), both
-        # read highest degree first
-        v = truncated_product([1, -ints[r][r], *(-x for x in s)], v, r + 2)
+    first = _child_first_step(n)
+    try:
+        child = _KrylovChild(u, g, spans, first, n) if first < n else None
+    except OSError:  # no process or pipe to spare: every step runs here
+        child = None
+    try:
+        # v holds the charpoly of the leading principal minor, highest degree first
+        v = [1, -ints[0][0]]
+        for r in range(1, n):
+            s = child.take() if child and r >= first else None
+            if s is None:
+                s = _krylov_sequence(u, g, spans, r)
+            # v times the Toeplitz column 1, -m_rr, -s_0, ..., -s_(r-1), both
+            # read highest degree first
+            v = truncated_product([1, -ints[r][r], *(-x for x in s)], v, r + 2)
+            if child:
+                child.drain()
+    finally:
+        if child:
+            child.reap()
     v.reverse()
     if integral:
         return v

@@ -16,7 +16,9 @@ coefficients; the division by 2 is checked to be exact. Column j of the
 N x N matrix holds the coefficients of f^0 .. f^(N-1) in U_2(f^j). With
 q-precision prec the known window is f^0 .. f^(prec//2 - 1): each column is
 truncated below degree prec//2, its top nonzero degree there is recorded as
-column_degrees[j] and the zero rows past it as residual_margins[j].
+column_degrees[j] and the zero rows past it as residual_margins[j]. Only the
+first min(prec//2, 2N - 1) rows are computed, as p_j has degree 2j, so the
+cost does not grow with prec.
 
 The equation itself is certified on every call: p_1, p_2 and p_3 from the
 recurrence, evaluated at the q-expansion of f, must equal 2 U_2(f^j)
@@ -107,8 +109,10 @@ def u2_matrix_weight0(n: int, prec: int) -> TruncatedCompactOperator:
         raise InsufficientPrecision(f"need prec >= 2n + 8 = {2 * n + 8}, got {prec}")
     _check_modular_equation()
     rows = prec // 2
+    # p_j has degree exactly 2j (leading coefficient 4096^j), so 2n - 1 rows
+    # hold every column whole and the rows past them are zero
     columns: list[list[int]] = []
-    for j, p in enumerate(_power_sums(n, rows)):
+    for j, p in enumerate(_power_sums(n, min(rows, 2 * n - 1))):
         if any(x % 2 for x in p):
             raise InvariantError(f"2 U_2(f^{j}) has an odd coefficient in f")
         columns.append([x // 2 for x in p])

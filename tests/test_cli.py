@@ -545,6 +545,15 @@ def test_nregular_huge_weight(k):
     assert obj["ratio_order"] == "infinite" and obj["n_regular"] is True
 
 
+def test_oc_huge_precision_is_as_cheap_as_the_default():
+    # once exit 4 with MemoryError: every power sum was built over prec // 2 rows
+    huge = run_limited("oc", "--trunc", "5", "--prec", "400000000")
+    assert huge.returncode == 0, huge.stderr
+    default = run_limited("oc", "--trunc", "5", "--prec", "18")
+    assert json.loads(huge.stdout)["slopes"] == json.loads(default.stdout)["slopes"]
+    assert json.loads(huge.stdout)["residual_margins"][0] == 200_000_000 - 1
+
+
 # -- argv fuzz over the parser's own vocabulary -------------------------------
 
 PARSER = build_parser()

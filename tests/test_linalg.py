@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slopewalk
+import slopewalk.linalg as linalg
 from slopewalk.errors import InsufficientPrecision, ResidualNonzero
 from slopewalk.linalg import (
     charpoly,
@@ -387,11 +394,11 @@ def test_charpoly_matches_leibniz_expansion(m):
 # -- charpoly on planted 2-adic structure, against oracles sharing no code ------
 
 @st.composite
-def planted_matrices(draw, max_n=6):
+def planted_matrices(draw, max_n=6, min_n=1):
     """n x n integer matrices whose entry (i, j) is u 2^max(0, a i - b j + e)
     with u odd or even, of either sign, and exponents up to 300 (the shape of
     the weight-0 U_2 matrix, where a = 8, b = 4), with zero rows and columns."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     a, b = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
     e = draw(st.integers(-100, 300))
     units = draw(st.lists(st.one_of(st.just(0), st.integers(-(2**64), 2**64)),
@@ -411,9 +418,9 @@ denominators = st.sampled_from([1, 2, 8, 2**40, 2**200, 3, 5, 9, 15, 3 * 2**7, 7
 
 
 @st.composite
-def planted_fraction_matrices(draw, max_n=6):
+def planted_fraction_matrices(draw, max_n=6, min_n=1):
     """planted_matrices divided entrywise by dyadic, odd and mixed denominators."""
-    m = draw(planted_matrices(max_n))
+    m = draw(planted_matrices(max_n, min_n))
     return [[Fraction(x, draw(denominators)) for x in row] for row in m]
 
 
@@ -468,6 +475,153 @@ def test_charpoly_of_the_u2_matrices_matches_textbook_berkowitz():
         cp = charpoly(m)
         assert cp == _textbook_berkowitz(m), n
         _check_types(m, cp)
+
+
+# -- charpoly's forked Krylov steps against the in-process loop ------------------
+
+def _u2(n):
+    from slopewalk.overconvergent import u2_matrix_weight0
+
+    return [list(row) for row in u2_matrix_weight0(n, 2 * n + 8).matrix]
+
+
+def two_cpus(mp):
+    """Report two usable CPUs, so that charpoly forks even on a one-CPU run."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(planted_matrices(22, linalg.FORK_MIN_N),
+                 planted_fraction_matrices(linalg.FORK_MIN_N + 1, linalg.FORK_MIN_N)))
+def test_forked_charpoly_matches_textbook_berkowitz(m):
+    with pytest.MonkeyPatch.context() as mp:
+        two_cpus(mp)
+        assert linalg._child_first_step(len(m)) < len(m)  # the child takes some steps
+        cp = charpoly(m)
+    assert cp == _textbook_berkowitz(m)
+    _check_types(m, cp)
+    _assert_no_child_left()
+
+
+def test_forked_charpoly_of_the_u2_matrices_matches_the_in_process_loop(monkeypatch):
+    sizes = [*range(linalg.FORK_MIN_N, 35), 40, 48, 60]
+    two_cpus(monkeypatch)
+    forked = {n: charpoly(_u2(n)) for n in sizes}
+    assert all(linalg._child_first_step(n) < n for n in sizes)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert all(linalg._child_first_step(n) == n for n in sizes)
+    for n in sizes:
+        assert forked[n] == charpoly(_u2(n)), n
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fail_at", [0, 2, 4])
+def test_a_failed_child_still_gives_the_charpoly(monkeypatch, fail_at):
+    """The child exits 1 at its fail_at-th step, having streamed the steps
+    before it; the parent computes the rest itself."""
+    m = _u2(30)
+    expected = _textbook_berkowitz(m)
+    parent, krylov, steps = os.getpid(), linalg._krylov_sequence, []
+
+    def failing(u, g, spans, r):
+        if os.getpid() != parent:
+            if len(steps) == fail_at:
+                os._exit(1)
+            steps.append(r)
+        return krylov(u, g, spans, r)
+
+    monkeypatch.setattr(linalg, "_krylov_sequence", failing)
+    two_cpus(monkeypatch)
+    assert linalg._child_first_step(30) + fail_at < 30
+    assert charpoly(m) == expected
+    _assert_no_child_left()
+
+
+def test_an_exception_mid_stream_leaves_no_child(monkeypatch):
+    m = _u2(34)
+    two_cpus(monkeypatch)
+    first, product = linalg._child_first_step(34), linalg.truncated_product
+
+    def failing(a, b, n):  # n = r + 2 in step r
+        if n - 2 == first + 1:
+            raise KeyboardInterrupt
+        return product(a, b, n)
+
+    monkeypatch.setattr(linalg, "truncated_product", failing)
+    with pytest.raises(KeyboardInterrupt):
+        charpoly(m)
+    _assert_no_child_left()
+    monkeypatch.setattr(linalg, "truncated_product", product)
+    assert charpoly(m) == _textbook_berkowitz(m)
+    _assert_no_child_left()
+
+
+def test_one_cpu_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("charpoly forked on one CPU")
+
+    m = _u2(34)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert linalg._child_first_step(34) == 34
+    assert charpoly(m) == _textbook_berkowitz(m)
+
+
+def test_no_fork_without_os_fork_or_with_a_second_thread(monkeypatch):
+    m = _u2(24)
+    two_cpus(monkeypatch)
+    assert linalg._child_first_step(24) < 24
+    expected = _textbook_berkowitz(m)
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    worker.start()
+    try:
+        assert linalg._child_first_step(24) == 24
+        monkeypatch.setattr(os, "fork", None)  # charpoly calling it fails
+        assert charpoly(m) == expected
+    finally:
+        stop.set()
+        worker.join(10)
+    assert not worker.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert linalg._child_first_step(24) == 24
+    assert charpoly(m) == expected
+
+
+def test_a_failed_fork_runs_every_step_in_process(monkeypatch):
+    m = _u2(24)
+    two_cpus(monkeypatch)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")  # EAGAIN
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert charpoly(m) == _textbook_berkowitz(m)
+    if fds is not None:  # the pipe is closed again
+        assert os.listdir("/proc/self/fd") == fds
+
+
+def test_the_child_never_flushes_inherited_stdout():
+    # stdout to a pipe is block buffered, so "before" is still in the buffer
+    # when charpoly forks; a child that flushed it would print it twice
+    script = ("import os; from slopewalk import linalg; "
+              "os.sched_getaffinity = lambda pid: {0, 1}; "
+              "from slopewalk.overconvergent import u2_matrix_weight0; "
+              "m = [list(r) for r in u2_matrix_weight0(30, 68).matrix]; "
+              "print('before'); "
+              "print(linalg._child_first_step(30) < 30, len(linalg.charpoly(m)))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(slopewalk.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "before\nTrue 31\n"
 
 
 # -- truncated_product against a double loop ------------------------------------

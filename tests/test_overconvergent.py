@@ -46,6 +46,19 @@ def test_residual_margins_recorded():
     assert op.column_degrees[:3] == (0, 2, 4)
 
 
+def test_capped_power_sums_give_the_uncapped_matrix():
+    # below 2N - 1 rows the columns are truncated; past it every row is kept
+    for n in range(1, 41):
+        for prec in (2 * n + 8, 4 * n + 9, 4 * n + 40):
+            op = u2_matrix_weight0(n, prec)
+            rows = prec // 2
+            columns = [[x // 2 for x in p] for p in ov._power_sums(n, rows)]
+            degrees = tuple(max(i for i, x in enumerate(col) if x) for col in columns)
+            assert op.matrix == tuple(tuple(col[i] for col in columns) for i in range(n))
+            assert op.column_degrees == degrees
+            assert op.residual_margins == tuple(rows - 1 - d for d in degrees)
+
+
 def test_smallest_slope_zero_and_sorted():
     report = oc_slopes(u2_matrix_weight0(8, 24))
     assert report.slopes[0] == 0
