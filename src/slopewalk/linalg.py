@@ -250,9 +250,10 @@ def _krylov_sequence(u: list[list[int]], g: list[int], spans: list[tuple[int, in
     return s
 
 
-# The smallest n whose charpoly forks a child; below it the fork and the pipe
-# cost more than the child saves.
-FORK_MIN_N = 16
+# The smallest n whose charpoly forks a child; below it, on the weight-0 U_2
+# matrices or those of U_2 on Gamma0(2) or Gamma1(4), the fork and the pipe
+# can cost more than the child saves.
+FORK_MIN_N = 20
 # Estimated cost of step r, in units of r^4: a Krylov sequence costs 4 and
 # the Toeplitz product that folds it into v costs 1.
 _KRYLOV_WEIGHT, _TOEPLITZ_WEIGHT = 4, 1

@@ -495,9 +495,9 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.one_of(planted_matrices(22, linalg.FORK_MIN_N),
-                 planted_fraction_matrices(linalg.FORK_MIN_N + 1, linalg.FORK_MIN_N)))
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(planted_matrices(linalg.FORK_MIN_N + 2, linalg.FORK_MIN_N),
+                 planted_fraction_matrices(linalg.FORK_MIN_N, linalg.FORK_MIN_N)))
 def test_forked_charpoly_matches_textbook_berkowitz(m):
     with pytest.MonkeyPatch.context() as mp:
         two_cpus(mp)
