@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -69,7 +68,7 @@ class ResultCache:
             return None
 
     def put(self, key: dict, payload: str) -> None:
-        entry = {"key": key, "payload": payload, "created_at": time.time()}
+        entry = {"key": key, "payload": payload}
         path = self._path(key)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:

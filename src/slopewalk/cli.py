@@ -7,9 +7,9 @@ tabular commands to CSV. Exit codes: 0 ok, 2 precondition error,
 3 verification failure, 4 internal invariant breach or any other unexpected
 error.
 
-Importing this module, and serving a cached slopes payload, executes only
-cli, cache, serialize and errors of the package; the compute modules load
-when a command computes.
+Importing this module, and serving a cached slopes or oc payload, executes
+only cli, cache, serialize and errors of the package; the compute modules
+load when a command computes.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ def _lazy_module(name: str):
 # sys.modules["slopewalk.spaces"] after importing only cli; once spans live
 # inside slopewalk (ROADMAP item 5), this becomes a plain import in the
 # commands that use it. The eigencurve, overconvergent, pingpong and
-# weightspace modules are imported by the commands that use them.
+# weightspace modules are imported by the commands that use them, slopes and
+# oc inside compute(), so a warm slopes or oc hit loads no compute module.
 spaces = _lazy_module(f"{__package__}.spaces")
 
 SCHEMA = 1
@@ -252,35 +253,40 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oc(args) -> int:
-    from .overconvergent import (
-        OcSlopeReport,
-        oc_slopes,
-        slopes_to_csv,
-        slopes_to_plot_data,
-        u2_matrix_weight0,
-    )
-
     prec = args.prec if args.prec is not None else 2 * args.trunc + 8
 
     def compute() -> str:
+        from .overconvergent import oc_slopes, u2_matrix_weight0
+
         op = u2_matrix_weight0(args.trunc, prec)
-        obj = oc_slopes(op).to_json_obj()
-        obj["schema"] = SCHEMA
-        obj["q_prec"] = prec
-        obj["integral"] = op.integral
-        obj["column_min_valuations"] = [
-            None if v is None else rat_to_str(v) for v in op.column_min_valuations
-        ]
-        obj["row_min_valuations"] = [
-            None if v is None else rat_to_str(v) for v in op.row_min_valuations
-        ]
-        obj["residual_margins"] = list(op.residual_margins)
+        report = oc_slopes(op)
+        obj = {
+            "schema": SCHEMA,
+            "size": report.size,
+            "slopes": [rat_to_str(s) for s in report.slopes],
+            "zero_roots": report.zero_root_multiplicity,
+            "compared_to": None,
+            "stable_prefix": None,
+            "q_prec": prec,
+            # every entry is x // 2 of an int, and an odd x raises InvariantError
+            "integral": True,
+            "column_min_valuations": [
+                None if v is None else rat_to_str(v) for v in op.column_min_valuations
+            ],
+            "row_min_valuations": [
+                None if v is None else rat_to_str(v) for v in op.row_min_valuations
+            ],
+            "residual_margins": list(op.residual_margins),
+        }
         return json_dumps_stable(obj)
 
     def render(obj) -> tuple[str, str]:
-        slopes = tuple(rat_from_str(s) for s in obj["slopes"])
-        report = OcSlopeReport(obj["size"], slopes, obj["zero_roots"], None, None)
-        return slopes_to_csv(report), slopes_to_plot_data(report) + "\n"
+        slopes = [rat_from_str(s) for s in obj["slopes"]]
+        csv = ["N,index,slope_num,slope_den"] + [
+            f"{obj['size']},{idx},{s.numerator},{s.denominator}" for idx, s in enumerate(slopes)
+        ]
+        plot = "\n".join(f"{idx} {exact_decimal(s)}" for idx, s in enumerate(slopes)) + "\n"
+        return "\n".join(csv), plot
 
     return _serve(args, {"command": "oc", "trunc": args.trunc, "prec": prec}, compute, render)
 

@@ -121,19 +121,24 @@ def classify(pt: EigencurvePointModel) -> str:
     return classify_slope(pt.slope, pt.k)
 
 
+def below_k_minus_1(slope: Fraction, k: int) -> bool:
+    """The classicality criterion slope < k - 1, in integers."""
+    return slope.numerator < (k - 1) * slope.denominator
+
+
 def classify_slope(slope: Fraction, k: int) -> str:
     """'ordinary' (slope 0), 'numerically_non_critical' (0 < slope < k-1),
     or 'neither' (slope >= k-1)."""
     if slope == 0:
         return "ordinary"
-    if slope < k - 1:
+    if below_k_minus_1(slope, k):
         return "numerically_non_critical"
     return "neither"
 
 
 def is_numerically_non_critical(pt: EigencurvePointModel) -> bool:
     """slope < k - 1 (ordinary points included)."""
-    return pt.slope.numerator < (pt.k - 1) * pt.slope.denominator
+    return below_k_minus_1(pt.slope, pt.k)
 
 
 def bk_predicted_slope(i: int, wc: WeightCharacter) -> Fraction:
@@ -148,4 +153,4 @@ def bk_predicted_slope(i: int, wc: WeightCharacter) -> Fraction:
 def boundary_point(i: int, wc: WeightCharacter, pc: bool = True) -> EigencurvePointModel:
     """The point of X_i above wc, with its slope filled in."""
     slope = bk_predicted_slope(i, wc)
-    return EigencurvePointModel(wc, slope, pc=pc, classical_claim=slope < wc.k - 1)
+    return EigencurvePointModel(wc, slope, pc=pc, classical_claim=below_k_minus_1(slope, wc.k))

@@ -27,9 +27,7 @@ raises InvariantError instead of producing a wrong matrix.
 
 Valuations grow down the rows and along the lower part of the columns (the
 recorded compactness witness); Newton slopes of the truncation's exact
-characteristic polynomial are its eigenvalue valuations, and stabilization
-under growing N is the diagnostic that the spectral data has converged. The
-frozen slopes the tests use are checked against the Buzzard-Calegari closed
+characteristic polynomial are its eigenvalue valuations. The frozen slopes the tests use are checked against the Buzzard-Calegari closed
 form in tests/oracle_store.py, which shares no code with this module.
 """
 
@@ -42,7 +40,6 @@ from .errors import InsufficientPrecision, InvariantError
 from .linalg import charpoly as _charpoly
 from .padic import NewtonPolygon, val
 from .qseries import QSeries, hauptmodul_f, u_p
-from .serialize import exact_decimal, rat_to_str
 
 # (a, b, c) in X^2 - (a f + b f^2) X - c f, the level-2 modular equation
 MODULAR_EQUATION = (48, 4096, 1)
@@ -62,7 +59,6 @@ class TruncatedCompactOperator:
     # column (grows with j), plus per-row minima (grow with i)
     column_min_valuations: tuple[Fraction | None, ...]
     row_min_valuations: tuple[Fraction | None, ...]
-    integral: bool
 
 
 def _power_sums(count: int, rows: int) -> list[list[int]]:
@@ -127,17 +123,8 @@ def u2_matrix_weight0(n: int, prec: int) -> TruncatedCompactOperator:
     for i in range(n):
         nonzero = [matrix[i][j] for j in range(n) if matrix[i][j] != 0]
         row_vals.append(min((val(c, 2) for c in nonzero), default=None))
-    integral = all(
-        isinstance(matrix[i][j], int) for i in range(n) for j in range(n)
-    )
     return TruncatedCompactOperator(
-        n,
-        matrix,
-        tuple(degrees),
-        tuple(margins),
-        tuple(col_vals),
-        tuple(row_vals),
-        integral,
+        n, matrix, tuple(degrees), tuple(margins), tuple(col_vals), tuple(row_vals)
     )
 
 
@@ -146,55 +133,10 @@ class OcSlopeReport:
     size: int
     slopes: tuple[Fraction, ...]
     zero_root_multiplicity: int
-    compared_to: int | None
-    stable_prefix: int | None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "size": self.size,
-            "slopes": [rat_to_str(s) for s in self.slopes],
-            "zero_roots": self.zero_root_multiplicity,
-            "compared_to": self.compared_to,
-            "stable_prefix": self.stable_prefix,
-        }
 
 
-def oc_slopes(op: TruncatedCompactOperator, reference: OcSlopeReport | None = None) -> OcSlopeReport:
-    """Sorted Newton slopes of the truncation's characteristic polynomial.
-
-    When a report for another truncation is supplied, the stabilization
-    comparison (length of the common sorted-slope prefix) is filled in.
-    """
+def oc_slopes(op: TruncatedCompactOperator) -> OcSlopeReport:
+    """Sorted Newton slopes of the truncation's characteristic polynomial."""
     cp = _charpoly([list(row) for row in op.matrix])
     polygon = NewtonPolygon.from_polynomial(cp, 2)
-    slopes = tuple(polygon.slopes())
-    compared_to = stable = None
-    if reference is not None:
-        compared_to = reference.size
-        stable = stable_prefix_length(slopes, reference.slopes)
-    return OcSlopeReport(op.size, slopes, polygon.zero_root_multiplicity, compared_to, stable)
-
-
-def stable_prefix_length(a, b) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
-def slopes_to_csv(report: OcSlopeReport) -> str:
-    """CSV rows 'N,index,slope_num,slope_den', one per slope."""
-    lines = ["N,index,slope_num,slope_den"]
-    for idx, s in enumerate(report.slopes):
-        lines.append(f"{report.size},{idx},{s.numerator},{s.denominator}")
-    return "\n".join(lines)
-
-
-def slopes_to_plot_data(report: OcSlopeReport, decimals: int = 6) -> str:
-    """gnuplot-ready 'index slope' rows; decimal rendering is exact integer
-    arithmetic, not float."""
-    return "\n".join(
-        f"{idx} {exact_decimal(s, decimals)}" for idx, s in enumerate(report.slopes)
-    )
+    return OcSlopeReport(op.size, tuple(polygon.slopes()), polygon.zero_root_multiplicity)

@@ -23,6 +23,17 @@ def test_put_get_and_verify(tmp_path):
     assert not cache.verify(key, "different")
 
 
+def test_an_entry_holds_only_its_key_and_payload(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = {"command": "x", "k": 12}
+    cache.put(key, "payload")
+    (path,) = tmp_path.glob("*.json")
+    assert json.loads(path.read_text()) == {"key": key, "payload": "payload"}
+    # entries written with a creation time are still hits
+    path.write_text(json.dumps({"key": key, "payload": "older", "created_at": 1.5e9}))
+    assert cache.get(key) == "older"
+
+
 def test_corrupt_entries_are_evicted(tmp_path):
     cache = ResultCache(tmp_path)
     key = {"command": "x"}

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -145,6 +146,30 @@ def test_oc_plot_file(capsys, tmp_path):
     assert plot.read_text().splitlines()[0] == "0 0.000000"
 
 
+OC_TRUNC_6_JSON = (
+    '{"column_min_valuations":["0/1","3/1","7/1","12/1","15/1","20/1"],"compared_to":null,'
+    '"integral":true,"q_prec":20,"residual_margins":[9,7,5,3,1,0],'
+    '"row_min_valuations":["0/1","0/1","0/1","3/1","13/1","20/1"],"schema":1,"size":6,'
+    '"slopes":["0/1","3/1","7/1","13/1","15/1","17/1"],"stable_prefix":null,"zero_roots":0}\n'
+)
+# SHA-256 of oc --trunc 20: JSON on stdout, --csv on stdout, the --plot file
+OC_TRUNC_20_SHA256 = (
+    "27e13850e9578cb0c906d08bc3413c7c549807d61f4b442a90532a9e2ed260cd",
+    "576bebe69bdc5db2a847b6eac5387ccd9cacbae28405c97f9ea714ed683dc9a9",
+    "b259c4b4f3d452d6bf3f97743706511a13400edbd401aa9ebea7145af80f1d2a",
+)
+
+
+def test_oc_golden_bytes(capsys, tmp_path):
+    assert run_cli(capsys, "oc", "--trunc", "6") == (0, OC_TRUNC_6_JSON)
+    plot = tmp_path / "oc.dat"
+    (json_rc, json_out), (csv_rc, csv_out) = (
+        run_cli(capsys, "oc", "--trunc", "20", *flags) for flags in ([], ["--csv", "--plot", str(plot)]))
+    assert (json_rc, csv_rc) == (0, 0)
+    texts = (json_out.encode(), csv_out.encode(), plot.read_bytes())
+    assert tuple(hashlib.sha256(t).hexdigest() for t in texts) == OC_TRUNC_20_SHA256
+
+
 def test_precondition_exit_code(capsys):
     code, _ = run_cli(capsys, "slopes", "--level", "sl2z", "--k", "13", "--op", "t2")
     assert code == 2
@@ -214,21 +239,26 @@ def test_imports_load_only_the_runtime():
 
 
 def test_warm_slopes_hit_loads_no_walk_or_oc_module(tmp_path):
-    argv = ["slopes", "--level", "gamma0_2", "--k", "16", "--op", "u2", "--cache-dir", str(tmp_path)]
     script = (
         "import contextlib, io, json, sys, slopewalk.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    rc = slopewalk.cli.main(sys.argv[1:])\n"
         "print(json.dumps([rc, out.getvalue(), sorted(sys.modules)]))"
     )
-    runs = [subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
-                           env=CHILD_ENV) for _ in ("cold", "warm")]
-    (cold_rc, cold_out, cold_modules), (warm_rc, warm_out, warm_modules) = (
-        json.loads(run.stdout) for run in runs)
-    assert (cold_rc, warm_rc) == (0, 0) and warm_out == cold_out
-    assert "slopewalk.eigencurve" in cold_modules  # the recompute classifies slopes
-    assert COMPUTE_MODULES <= set(cold_modules)
-    assert DEFERRED_MODULES.isdisjoint(warm_modules)
+    # the slopes recompute classifies slopes, the oc one builds the U_2 matrix
+    for argv, computes_with in (
+        (["slopes", "--level", "gamma0_2", "--k", "16", "--op", "u2"], "slopewalk.eigencurve"),
+        (["oc", "--trunc", "8"], "slopewalk.overconvergent"),
+    ):
+        argv = [*argv, "--cache-dir", str(tmp_path / argv[0])]
+        runs = [subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                               text=True, env=CHILD_ENV) for _ in ("cold", "warm")]
+        (cold_rc, cold_out, cold_modules), (warm_rc, warm_out, warm_modules) = (
+            json.loads(run.stdout) for run in runs)
+        assert (cold_rc, warm_rc) == (0, 0) and warm_out == cold_out
+        assert computes_with in cold_modules
+        assert COMPUTE_MODULES <= set(cold_modules)
+        assert DEFERRED_MODULES.isdisjoint(warm_modules), argv[0]
 
 
 def test_level_choices_are_the_levels():

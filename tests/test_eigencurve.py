@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 from slopewalk.eigencurve import (
     EigencurvePointModel,
     annulus_index,
+    below_k_minus_1,
     bk_predicted_slope,
     boundary_point,
     classify,
+    classify_slope,
     is_numerically_non_critical,
     twin,
     twin_index_sum_check,
@@ -60,6 +62,21 @@ def test_classify():
     assert classify(_pt(5, 0, 0)) == "ordinary"
     assert classify(_pt(12, 0, 3)) == "numerically_non_critical"
     assert classify(_pt(5, 0, 4)) == "neither"  # slope = k-1
+
+
+@st.composite
+def slope_and_weight(draw):
+    k = draw(st.integers(2, 10**6))
+    near = st.builds(lambda d: Fraction(k - 1) + d, st.fractions(-1, 1, max_denominator=64))
+    slope = draw(st.one_of(st.just(Fraction(k - 1)), st.just(k - 1), near, st.fractions(0)))
+    return slope, k
+
+
+@given(slope_and_weight())
+def test_classify_slope_uses_the_classicality_predicate(case):
+    # k >= 2: for k <= 1 slope 0 is ordinary without being below k - 1
+    slope, k = case
+    assert (classify_slope(slope, k) != "neither") is below_k_minus_1(slope, k) is (slope < k - 1)
 
 
 def test_bk_predicted_slope_examples():
