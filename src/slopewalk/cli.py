@@ -152,8 +152,7 @@ def _cmd_slopes(args) -> int:
                     {
                         "eigenvalue": rat_to_str(root),
                         "multiplicity": mult,
-                        "slopes": [rat_to_str(Fraction(model.alpha_val)),
-                                   rat_to_str(Fraction(model.beta_val))],
+                        "slopes": [rat_to_str(model.alpha_val), rat_to_str(model.beta_val)],
                     }
                 )
         obj = {

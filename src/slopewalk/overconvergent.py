@@ -15,10 +15,9 @@ so U_2(f^j) = p_j / 2 is a polynomial of degree 2j in f with integer
 coefficients; the division by 2 is checked to be exact. Column j of the
 N x N matrix holds the coefficients of f^0 .. f^(N-1) in U_2(f^j). With
 q-precision prec the known window is f^0 .. f^(prec//2 - 1): each column is
-truncated below degree prec//2, its top nonzero degree there is recorded as
-column_degrees[j] and the zero rows past it as residual_margins[j]. Only the
-first min(prec//2, 2N - 1) rows are computed, as p_j has degree 2j, so the
-cost does not grow with prec.
+truncated below degree prec//2, and the zero rows past its top nonzero degree
+there are recorded as residual_margins[j]. Only the first min(prec//2, 2N - 1)
+rows are computed, as p_j has degree 2j, so the cost does not grow with prec.
 
 The equation itself is certified on every call: p_1, p_2 and p_3 from the
 recurrence, evaluated at the q-expansion of f, must equal 2 U_2(f^j)
@@ -27,8 +26,9 @@ raises InvariantError instead of producing a wrong matrix.
 
 Valuations grow down the rows and along the lower part of the columns (the
 recorded compactness witness); Newton slopes of the truncation's exact
-characteristic polynomial are its eigenvalue valuations. The frozen slopes the tests use are checked against the Buzzard-Calegari closed
-form in tests/oracle_store.py, which shares no code with this module.
+characteristic polynomial are its eigenvalue valuations. The frozen slopes
+the tests use are checked against the Buzzard-Calegari closed form in
+tests/oracle_store.py, which shares no code with this module.
 """
 
 from __future__ import annotations
@@ -53,12 +53,11 @@ class TruncatedCompactOperator:
 
     size: int
     matrix: tuple[tuple[int, ...], ...]
-    column_degrees: tuple[int, ...]
-    residual_margins: tuple[int, ...]  # zero rows known past each column's degree
+    residual_margins: tuple[int, ...]  # zero rows known past each column's top degree
     # empirical compactness witness: min valuation on/below the diagonal per
     # column (grows with j), plus per-row minima (grow with i)
-    column_min_valuations: tuple[Fraction | None, ...]
-    row_min_valuations: tuple[Fraction | None, ...]
+    column_min_valuations: tuple[int | None, ...]
+    row_min_valuations: tuple[int | None, ...]
 
 
 def _power_sums(count: int, rows: int) -> list[list[int]]:
@@ -112,20 +111,15 @@ def u2_matrix_weight0(n: int, prec: int) -> TruncatedCompactOperator:
         if any(x % 2 for x in p):
             raise InvariantError(f"2 U_2(f^{j}) has an odd coefficient in f")
         columns.append([x // 2 for x in p])
-    degrees = [max((i for i, x in enumerate(col) if x), default=0) for col in columns]
-    margins = [rows - 1 - d for d in degrees]
-    matrix = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-    col_vals: list[Fraction | None] = []
-    for j in range(n):
-        nonzero = [matrix[i][j] for i in range(j, n) if matrix[i][j] != 0]
-        col_vals.append(min((val(c, 2) for c in nonzero), default=None))
-    row_vals: list[Fraction | None] = []
-    for i in range(n):
-        nonzero = [matrix[i][j] for j in range(n) if matrix[i][j] != 0]
-        row_vals.append(min((val(c, 2) for c in nonzero), default=None))
-    return TruncatedCompactOperator(
-        n, matrix, tuple(degrees), tuple(margins), tuple(col_vals), tuple(row_vals)
+    margins = tuple(
+        rows - 1 - max((i for i, x in enumerate(col) if x), default=0) for col in columns
     )
+    matrix = tuple(tuple(col[i] for col in columns) for i in range(n))
+    col_vals = tuple(
+        min((val(x, 2) for x in col[j:n] if x), default=None) for j, col in enumerate(columns)
+    )
+    row_vals = tuple(min((val(x, 2) for x in row if x), default=None) for row in matrix)
+    return TruncatedCompactOperator(n, matrix, margins, col_vals, row_vals)
 
 
 @dataclass(frozen=True)

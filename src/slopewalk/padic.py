@@ -1,10 +1,10 @@
 """Exact p-adic valuations and Newton polygons over the rationals.
 
-Valuations of nonzero rationals are integers; the fractional values that show
-up later (weight-coordinate valuations like 1/4, slope ladders like 7/8) are
-still exact ``Fraction`` instances produced by polygon slopes or closed
-formulas, never floats. The valuation of zero is the ``INFINITY`` singleton,
-which compares greater than every finite value.
+Valuations of nonzero rationals are integers (``val`` returns an ``int``);
+the fractional values that show up later (Newton slopes, weight-coordinate
+valuations like 1/4) are exact ``Fraction`` instances, never floats. The
+valuation of zero is the ``INFINITY`` singleton, which compares greater than
+every finite value.
 """
 
 from __future__ import annotations
@@ -58,11 +58,8 @@ class _PadicInfinity:
 
 INFINITY = _PadicInfinity()
 
-# A valuation is a Fraction or INFINITY.
-Valuation = Fraction | _PadicInfinity
 
-
-def val(x, p: int) -> Valuation:
+def val(x, p: int) -> int | _PadicInfinity:
     """p-adic valuation of a rational number; val(0) is INFINITY.
 
     ``x`` may be an int, Fraction, or any Rational. ``p`` must be prime
@@ -81,8 +78,8 @@ def val(x, p: int) -> Valuation:
     if num == 0:
         return INFINITY
     if p == 2:
-        return Fraction((num & -num).bit_length() - (den & -den).bit_length())
-    return Fraction(_multiplicity(num, p) - _multiplicity(den, p))
+        return (num & -num).bit_length() - (den & -den).bit_length()
+    return _multiplicity(num, p) - _multiplicity(den, p)
 
 
 def _multiplicity(n: int, p: int) -> int:
@@ -134,84 +131,46 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One face of a lower convex hull: its slope and horizontal length."""
-
-    slope: Fraction
-    length: int
-
-
-@dataclass(frozen=True)
 class NewtonPolygon:
-    """Lower convex hull of finite (index, valuation) points.
+    """Newton polygon of sum(c_i X^i): the lower convex hull of the points
+    (i, v_p(c_i)) of the nonzero c_i. ``root_valuations`` are its negated
+    slopes with multiplicity, ascending: the valuations of the nonzero roots.
+    Zero roots lie off the hull; ``zero_root_multiplicity`` counts them."""
 
-    ``points`` holds the finite input points sorted by abscissa; ``hull`` the
-    faces left to right with strictly increasing slopes. Points with infinite
-    ordinate (zero coefficients) are dropped before hull construction, and
-    ``zero_root_multiplicity`` records how many zero roots a polynomial input
-    had (the abscissa of its lowest nonzero coefficient).
-    """
-
-    points: tuple[tuple[int, Fraction], ...]
-    hull: tuple[Segment, ...]
-    zero_root_multiplicity: int = 0
-
-    @classmethod
-    def from_points(cls, points, zero_root_multiplicity: int = 0) -> "NewtonPolygon":
-        """Build the polygon from (x, valuation) pairs; order is irrelevant."""
-        finite = sorted((int(x), Fraction(y)) for x, y in points if y is not INFINITY)
-        if not finite:
-            raise EmptyPolynomial("no finite points")
-        dedup: dict[int, Fraction] = {}
-        for x, y in finite:
-            if x in dedup and dedup[x] != y:
-                raise ValueError(f"conflicting ordinates at x={x}")
-            dedup[x] = y
-        pts = sorted(dedup.items())
-        hull_pts = [pts[0]]
-        for pt in pts[1:]:
-            while len(hull_pts) >= 2:
-                (x1, y1), (x2, y2) = hull_pts[-2], hull_pts[-1]
-                # drop the middle point when it lies on or above the chord
-                if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                    hull_pts.pop()
-                else:
-                    break
-            hull_pts.append(pt)
-        segments = []
-        for (x1, y1), (x2, y2) in zip(hull_pts, hull_pts[1:]):
-            segments.append(Segment(Fraction(y2 - y1, x2 - x1), x2 - x1))
-        return cls(tuple(pts), tuple(segments), zero_root_multiplicity)
+    root_valuations: tuple[Fraction, ...]
+    zero_root_multiplicity: int
 
     @classmethod
     def from_polynomial(cls, coeffs, p: int) -> "NewtonPolygon":
-        """Polygon of sum(c_i X^i) with ordinates v_p(c_i).
-
-        Zero roots (a leading X^j factor) are excluded from the hull and
-        reported via ``zero_root_multiplicity``.
-        """
-        vals = [(i, val(c, p)) for i, c in enumerate(coeffs)]
-        finite = [(i, v) for i, v in vals if v is not INFINITY]
-        if not finite:
+        """The polygon of sum(c_i X^i). Its points come sorted by abscissa
+        with integer ordinates, so one monotone-chain pass with an integer
+        cross-product test builds the lower hull; read right to left, its
+        faces give the root valuations in ascending order."""
+        points = [(i, v) for i, c in enumerate(coeffs) if (v := val(c, p)) is not INFINITY]
+        if not points:
             raise EmptyPolynomial("all coefficients are zero")
-        low = finite[0][0]
-        shifted = [(i - low, v) for i, v in finite]
-        return cls.from_points(shifted, zero_root_multiplicity=low)
+        hull: list[tuple[int, int]] = []
+        for x, y in points:
+            while len(hull) >= 2:
+                (x1, y1), (x2, y2) = hull[-2], hull[-1]
+                # keep the middle vertex only when it lies below the chord
+                if (y2 - y1) * (x - x1) < (y - y1) * (x2 - x1):
+                    break
+                hull.pop()
+            hull.append((x, y))
+        roots: list[Fraction] = []
+        for (x1, y1), (x2, y2) in reversed(list(zip(hull, hull[1:]))):
+            roots += [Fraction(y1 - y2, x2 - x1)] * (x2 - x1)
+        return cls(tuple(roots), points[0][0])
 
     def slopes(self) -> list[Fraction]:
         """Root valuations: negated hull slopes with multiplicity, sorted."""
-        out: list[Fraction] = []
-        for seg in self.hull:
-            out.extend([-seg.slope] * seg.length)
-        return sorted(out)
+        return list(self.root_valuations)
 
 
 def newton_slopes(coeffs, p: int) -> list[Fraction]:
-    """Valuations of the nonzero roots of sum(c_i X^i), with multiplicity.
-
-    Returns the sorted multiset of v_p of the nonzero roots (in an algebraic
-    closure), i.e. the negated lower-hull slopes of the (i, v_p(c_i)) points.
-    Zero roots are excluded; use NewtonPolygon.from_polynomial to see their
-    multiplicity. Raises EmptyPolynomial when every coefficient is zero.
-    """
+    """Valuations of the nonzero roots of sum(c_i X^i) (in an algebraic
+    closure), with multiplicity, ascending: the negated lower-hull slopes of
+    the points (i, v_p(c_i)). NewtonPolygon.from_polynomial also counts the
+    zero roots. Raises EmptyPolynomial when every coefficient is zero."""
     return NewtonPolygon.from_polynomial(coeffs, p).slopes()

@@ -7,7 +7,7 @@ down to X_1, and the mirror image of that construction back up to X_{i'}.
 verify_certificate re-derives every numeric claim once (annulus indices,
 twin arithmetic, classicality, construction shapes), checks the assumptions
 block against the moves, and returns violations as data, never exceptions.
-An invalid point is reported once per move side. The index-sum relation
+Each distinct violation is reported once. The index-sum relation
 i + i' = (k-1)/v(w) follows from the twin arithmetic once both indices are
 integers, so it is not checked apart. Indices (which decide membership)
 and shapes are integer closed forms in (k, m) and the slope's numerator
@@ -286,7 +286,7 @@ def _check_induction_shape(j, pt, violations) -> None:
 
 def verify_certificate(cert: PingPongCertificate) -> list[Violation]:
     """Re-derive every arithmetic claim; an empty list means the certificate
-    is accepted."""
+    is accepted. Each distinct violation is listed once, in first-seen order."""
     violations: list[Violation] = []
     if len(cert.moves) == 0:
         return [Violation(None, "Empty", "certificate has no moves")]
@@ -357,7 +357,9 @@ def verify_certificate(cert: PingPongCertificate) -> list[Violation]:
         violations.append(
             Violation(None, "AssumptionsMismatch", "assumptions block is not the one the moves consume")
         )
-    return violations
+    # an invalid point on both sides of one move gives the same (move, code,
+    # detail) twice; it is reported once
+    return list(dict.fromkeys(violations))
 
 
 def _assumptions_match(cert: PingPongCertificate) -> bool:

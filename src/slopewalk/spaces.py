@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     RepeatedRoot,
 )
-from .padic import INFINITY, Valuation, is_prime, newton_slopes, val
+from .padic import INFINITY, is_prime, newton_slopes, val
 from .qseries import (
     QSeries,
     _norm,
@@ -355,8 +355,8 @@ class RefinementModel:
     a_p: Fraction
     k: int
     p: int
-    alpha_val: Valuation
-    beta_val: Valuation
+    alpha_val: Fraction
+    beta_val: Fraction
 
 
 def refinement(a_p, k: int, p: int) -> RefinementModel:

@@ -22,12 +22,26 @@ def test_u2_of_f_leading_coefficient_matches_oracle():
     op = u2_matrix_weight0(4, 16)
     assert op.matrix[1][1] == rat_from_str(fixture_value("hauptmodul_u2_leading")) == 24
     assert op.matrix[2][1] == 2048  # U_2 f = 24 f + 2048 f^2
-    assert op.column_degrees[1] == 2
+    assert op.residual_margins[1] == 16 // 2 - 1 - 2  # U_2 f has degree 2
+
+
+def _v2(x):
+    v = 0
+    while x % 2 == 0:
+        x, v = x // 2, v + 1
+    return v
 
 
 def test_entries_are_integers_and_lower_valuations_grow():
     op = u2_matrix_weight0(12, 32)
-    assert all(type(x) is int for row in op.matrix for x in row)
+    a = op.matrix
+    assert all(type(x) is int for row in a for x in row)
+    assert all(v is None or type(v) is int for v in op.column_min_valuations)
+    assert all(v is None or type(v) is int for v in op.row_min_valuations)
+    assert op.column_min_valuations == tuple(
+        min((_v2(a[i][j]) for i in range(j, 12) if a[i][j]), default=None) for j in range(12)
+    )
+    assert op.row_min_valuations == tuple(min(_v2(x) for x in row if x) for row in a)
     vals = [v for v in op.column_min_valuations if v is not None]
     assert all(v >= 0 for v in vals)  # 2-integral
     assert vals == sorted(vals)  # compactness witness on/below the diagonal
@@ -36,7 +50,7 @@ def test_entries_are_integers_and_lower_valuations_grow():
 def test_residual_margins_recorded():
     op = u2_matrix_weight0(8, 40)  # generous precision: every column certified
     assert min(op.residual_margins) > 0
-    assert op.column_degrees[:3] == (0, 2, 4)
+    assert op.residual_margins[:3] == (19, 17, 15)  # columns of degree 0, 2 and 4 in 20 rows
 
 
 def test_capped_power_sums_give_the_uncapped_matrix():
@@ -48,7 +62,6 @@ def test_capped_power_sums_give_the_uncapped_matrix():
             columns = [[x // 2 for x in p] for p in ov._power_sums(n, rows)]
             degrees = tuple(max(i for i, x in enumerate(col) if x) for col in columns)
             assert op.matrix == tuple(tuple(col[i] for col in columns) for i in range(n))
-            assert op.column_degrees == degrees
             assert op.residual_margins == tuple(rows - 1 - d for d in degrees)
 
 

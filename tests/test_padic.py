@@ -102,24 +102,53 @@ def test_factorable_polynomials_match_rootwise_valuations(roots, zero_roots, p):
     assert polygon.slopes() == sorted(val(r, p) for r in roots)
 
 
+@settings(max_examples=400, deadline=None)
 @given(
-    points=st.lists(
-        st.tuples(st.integers(0, 12), st.fractions(max_denominator=6)),
-        min_size=1,
-        max_size=10,
-        unique_by=lambda t: t[0],
+    p=st.sampled_from([2, 3, 5]),
+    terms=st.lists(
+        st.sampled_from([0, Fraction(0)])
+        | st.tuples(
+            st.integers(-20, 20),  # the unit is (a p + 1) / (b p + 1)
+            st.integers(0, 6),
+            st.integers(-8, 12),  # the exponent of p
+            st.booleans(),  # keep an integral coefficient as a Fraction
+        ),
+        max_size=12,
     ),
-    seed=st.randoms(),
 )
-def test_hull_is_permutation_invariant_and_monotone(points, seed):
-    polygon = NewtonPolygon.from_points(points)
-    shuffled = list(points)
-    seed.shuffle(shuffled)
-    assert NewtonPolygon.from_points(shuffled) == polygon
-    slopes = [seg.slope for seg in polygon.hull]
-    assert slopes == sorted(slopes)
-    assert len(set(slopes)) == len(slopes), "segment slopes strictly increase"
-    assert sum(seg.length for seg in polygon.hull) == max(x for x, _ in points) - min(x for x, _ in points)
+def test_newton_polygon_matches_brute_force_envelope(p, terms):
+    """Coefficients u_i p^(e_i) with u_i a p-adic unit: the polygon is the
+    lower envelope N(x) of every chord between two points (i, e_i), and the
+    root valuations are N(x) - N(x + 1) at consecutive integers x."""
+    coeffs, points = [], []
+    for i, term in enumerate(terms):
+        if not isinstance(term, tuple):
+            coeffs.append(term)
+            continue
+        a, b, e, as_fraction = term
+        c = Fraction(a * p + 1, b * p + 1) * Fraction(p) ** e
+        coeffs.append(c if as_fraction or c.denominator > 1 else c.numerator)
+        points.append((i, e))
+    if not points:
+        with pytest.raises(EmptyPolynomial):
+            NewtonPolygon.from_polynomial(coeffs, p)
+        return
+
+    def envelope(x):
+        return min(
+            yi + Fraction((yj - yi) * (x - xi), xj - xi)
+            for xi, yi in points
+            for xj, yj in points
+            if xi <= x <= xj and xi < xj
+        )
+
+    low, high = points[0][0], points[-1][0]
+    expected = sorted(envelope(x) - envelope(x + 1) for x in range(low, high))
+    polygon = NewtonPolygon.from_polynomial(coeffs, p)
+    assert polygon.zero_root_multiplicity == low
+    assert list(polygon.root_valuations) == expected
+    assert all(type(r) is Fraction for r in polygon.root_valuations)
+    assert polygon.slopes() == newton_slopes(coeffs, p) == expected
 
 
 def _naive_val(x, p):
@@ -152,4 +181,5 @@ def test_val_matches_naive_division(p, unit, den, e, shift, shape):
     else:
         x = Fraction(p ** (e % 300) * unit, den)
     assert val(x, p) == _naive_val(x, p)
+    assert type(val(x, p)) is int
     assert val(-x, p) == val(x, p)

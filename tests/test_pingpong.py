@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from certmut import apply_mutation, numeric_fields
 from slopewalk import cli, pingpong
-from slopewalk.eigencurve import EigencurvePointModel, annulus_index
+from slopewalk.eigencurve import EigencurvePointModel, annulus_index, twin
 from slopewalk.errors import ConstraintViolated, InvariantError, PreconditionError
 from slopewalk.pingpong import (
     KIND_START,
@@ -209,10 +209,21 @@ def test_a_twin_source_above_k_minus_1_is_only_twin_undefined():
     assert "TwinUndefined" in codes and "ValueError" not in codes
 
 
-def test_a_centre_start_point_is_reported_once_per_side():
+def test_a_centre_start_point_is_reported_once():
     centre = EigencurvePointModel(WeightCharacter(2, 0), Fraction(1))
     violations = _one_move(KIND_START, centre, centre)
-    assert len(_codes(violations, "CenterOfWeightSpace")) == 2
+    assert len(_codes(violations, "CenterOfWeightSpace")) == 1
+    assert len(violations) == len(set(violations))
+
+
+def test_an_off_boundary_point_on_both_sides_of_a_twin_is_reported_once():
+    off = EigencurvePointModel(WeightCharacter(10, 0), Fraction(2))
+    violations = _one_move(KIND_TWIN, off, twin(off))
+    assert [(v.move, v.detail) for v in _codes(violations, "NotInBoundary")] == [
+        (0, "k=10,m=0 is not in the boundary annulus")
+    ]
+    # first-seen order is kept: the move's own lines, then the block's
+    assert [v.code for v in violations] == ["NotInBoundary", "AssumptionsMismatch"]
 
 
 def test_a_non_integral_twin_source_is_reported_once():
