@@ -141,7 +141,7 @@ def _cmd_slopes(args) -> int:
         mat = spaces.operator_matrix(args.op, space, p=args.p)
         cp = spaces.charpoly(mat)
         polygon = NewtonPolygon.from_polynomial(cp, 2)
-        slopes = polygon.slopes()
+        slopes = polygon.slopes
         refinements = []
         if level is spaces.Level.SL2Z and args.op == "t2":
             for root, mult in rational_roots(cp):
@@ -258,12 +258,12 @@ def _cmd_oc(args) -> int:
         from .overconvergent import oc_slopes, u2_matrix_weight0
 
         op = u2_matrix_weight0(args.trunc, prec)
-        report = oc_slopes(op)
+        polygon = oc_slopes(op)
         obj = {
             "schema": SCHEMA,
-            "size": report.size,
-            "slopes": [rat_to_str(s) for s in report.slopes],
-            "zero_roots": report.zero_root_multiplicity,
+            "size": op.size,
+            "slopes": [rat_to_str(s) for s in polygon.slopes],
+            "zero_roots": polygon.zero_root_multiplicity,
             "compared_to": None,
             "stable_prefix": None,
             "q_prec": prec,
@@ -294,7 +294,7 @@ def _cmd_nregular(args) -> int:
     a = rat_from_str(args.a)
     order = spaces.ratio_order(a, args.k, args.p)
     _print_json({"a": args.a, "k": args.k, "p": args.p, "n": args.n,
-                 "ratio_order": order if isinstance(order, int) else "infinite",
+                 "ratio_order": "infinite" if order is None else order,
                  "n_regular": spaces.is_n_regular(a, args.k, args.p, args.n)})
     return 0
 

@@ -150,7 +150,7 @@ def bk_predicted_slope(i: int, wc: WeightCharacter) -> Fraction:
     return i * w_valuation(wc)
 
 
-def boundary_point(i: int, wc: WeightCharacter, pc: bool = True) -> EigencurvePointModel:
+def boundary_point(i: int, wc: WeightCharacter) -> EigencurvePointModel:
     """The point of X_i above wc, with its slope filled in."""
     slope = bk_predicted_slope(i, wc)
-    return EigencurvePointModel(wc, slope, pc=pc, classical_claim=below_k_minus_1(slope, wc.k))
+    return EigencurvePointModel(wc, slope, classical_claim=below_k_minus_1(slope, wc.k))

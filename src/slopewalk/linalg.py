@@ -37,7 +37,6 @@ import marshal
 import os
 import sys
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
 
@@ -181,13 +180,14 @@ def _balance(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     to equality, so d_i ~ 4i). So d_(j+1) - d_j is the median, over the rows
     with entries j and j+1 both nonzero, of v_ij - v_i(j+1), an estimate of
     beta_j - beta_(j+1) that no single row moves far; it is 0 where no row
-    has both. d is then lowered to the largest d' <= d with every scaled
-    off-diagonal valuation v_ij + d'_j - d'_i >= 0: the shortest-path labels
-    d'_i = min(d_i, d'_j + v_ij) along edges j -> i of length v_ij >= 0,
-    which Dijkstra's order settles once each. So rho, kappa and g are >= 0,
-    and as rho and kappa are least valuations every right shift below is
-    exact. When every median is 0, d = 0 is already feasible and the whole
-    balancing is a few O(n^2) passes.
+    has both. d is then lowered to the greatest d' <= d with every scaled
+    off-diagonal valuation v_ij + d'_j - d'_i >= 0, the greatest fixpoint of
+    d_i = min(d_i, min_j d_j + v_ij) (the diagonal's term, j = i, is never
+    lower): rounds of that update run until one changes nothing (the labels
+    only fall, and each v_ij >= 0 bounds them below by min d, so the rounds
+    end). So rho, kappa and g are >= 0, and as rho and kappa are least
+    valuations every right shift below is exact. When every median is 0,
+    d = 0 is already feasible and one round confirms it.
     """
     n = len(m)
     # (j, v_ij) for the nonzero entries of each row
@@ -201,21 +201,13 @@ def _balance(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     for dj in diffs[:-1]:
         dj.sort()
         d.append(d[-1] + (dj[len(dj) // 2] if dj else 0))
-    if any(d):  # Dijkstra from every index at once, each starting at d_j
-        column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    changed = True
+    while changed:
+        changed = False
         for i, row in enumerate(val):
-            for j, v in row:
-                if j != i:
-                    column[j].append((i, v))
-        heap = [(dj, j) for j, dj in enumerate(d)]
-        heapify(heap)
-        while heap:
-            dj, j = heappop(heap)
-            if dj == d[j]:
-                for i, v in column[j]:
-                    if dj + v < d[i]:
-                        d[i] = dj + v
-                        heappush(heap, (d[i], i))
+            low = min((d[j] + v for j, v in row), default=d[i])
+            if low < d[i]:
+                d[i], changed = low, True
     rho = [min(v + d[j] for j, v in row) - d[i] if row else 0 for i, row in enumerate(val)]
     pulled: list[list[int]] = [[] for _ in range(n)]  # column j after the row pulls
     for i, row in enumerate(val):

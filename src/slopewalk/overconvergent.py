@@ -34,7 +34,6 @@ tests/oracle_store.py, which shares no code with this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InsufficientPrecision, InvariantError
 from .linalg import charpoly as _charpoly
@@ -122,15 +121,8 @@ def u2_matrix_weight0(n: int, prec: int) -> TruncatedCompactOperator:
     return TruncatedCompactOperator(n, matrix, margins, col_vals, row_vals)
 
 
-@dataclass(frozen=True)
-class OcSlopeReport:
-    size: int
-    slopes: tuple[Fraction, ...]
-    zero_root_multiplicity: int
-
-
-def oc_slopes(op: TruncatedCompactOperator) -> OcSlopeReport:
-    """Sorted Newton slopes of the truncation's characteristic polynomial."""
-    cp = _charpoly([list(row) for row in op.matrix])
-    polygon = NewtonPolygon.from_polynomial(cp, 2)
-    return OcSlopeReport(op.size, tuple(polygon.slopes()), polygon.zero_root_multiplicity)
+def oc_slopes(op: TruncatedCompactOperator) -> NewtonPolygon:
+    """The Newton polygon of the truncation's characteristic polynomial: its
+    ``slopes`` are the eigenvalue valuations, ascending, and its
+    ``zero_root_multiplicity`` counts the zero eigenvalues."""
+    return NewtonPolygon.from_polynomial(_charpoly([list(row) for row in op.matrix]), 2)

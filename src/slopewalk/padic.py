@@ -2,9 +2,9 @@
 
 Valuations of nonzero rationals are integers (``val`` returns an ``int``);
 the fractional values that show up later (Newton slopes, weight-coordinate
-valuations like 1/4) are exact ``Fraction`` instances, never floats. The
-valuation of zero is the ``INFINITY`` singleton, which compares greater than
-every finite value.
+valuations like 1/4) are exact ``Fraction`` instances, never floats. Zero
+has no finite valuation, and ``val(0, p)`` is ``None``, the package's one
+spelling of "no value".
 """
 
 from __future__ import annotations
@@ -16,51 +16,8 @@ from numbers import Rational
 from .errors import EmptyPolynomial
 
 
-class _PadicInfinity:
-    """Positive infinity for valuation arithmetic. Single instance: INFINITY."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("padic-infinity")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        raise ArithmeticError("negative infinity is not a valuation")
-
-
-INFINITY = _PadicInfinity()
-
-
-def val(x, p: int) -> int | _PadicInfinity:
-    """p-adic valuation of a rational number; val(0) is INFINITY.
+def val(x, p: int) -> int | None:
+    """p-adic valuation of a rational number; val(0) is None.
 
     ``x`` may be an int, Fraction, or any Rational. ``p`` must be prime
     (primality is the caller's responsibility; only p >= 2 is enforced).
@@ -76,7 +33,7 @@ def val(x, p: int) -> int | _PadicInfinity:
     else:
         raise TypeError(f"val expects a rational number, got {type(x).__name__}")
     if num == 0:
-        return INFINITY
+        return None
     if p == 2:
         return (num & -num).bit_length() - (den & -den).bit_length()
     return _multiplicity(num, p) - _multiplicity(den, p)
@@ -133,11 +90,11 @@ def is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class NewtonPolygon:
     """Newton polygon of sum(c_i X^i): the lower convex hull of the points
-    (i, v_p(c_i)) of the nonzero c_i. ``root_valuations`` are its negated
+    (i, v_p(c_i)) of the nonzero c_i. ``slopes`` are its negated hull
     slopes with multiplicity, ascending: the valuations of the nonzero roots.
     Zero roots lie off the hull; ``zero_root_multiplicity`` counts them."""
 
-    root_valuations: tuple[Fraction, ...]
+    slopes: tuple[Fraction, ...]
     zero_root_multiplicity: int
 
     @classmethod
@@ -146,7 +103,7 @@ class NewtonPolygon:
         with integer ordinates, so one monotone-chain pass with an integer
         cross-product test builds the lower hull; read right to left, its
         faces give the root valuations in ascending order."""
-        points = [(i, v) for i, c in enumerate(coeffs) if (v := val(c, p)) is not INFINITY]
+        points = [(i, v) for i, c in enumerate(coeffs) if (v := val(c, p)) is not None]
         if not points:
             raise EmptyPolynomial("all coefficients are zero")
         hull: list[tuple[int, int]] = []
@@ -163,14 +120,10 @@ class NewtonPolygon:
             roots += [Fraction(y1 - y2, x2 - x1)] * (x2 - x1)
         return cls(tuple(roots), points[0][0])
 
-    def slopes(self) -> list[Fraction]:
-        """Root valuations: negated hull slopes with multiplicity, sorted."""
-        return list(self.root_valuations)
-
 
 def newton_slopes(coeffs, p: int) -> list[Fraction]:
     """Valuations of the nonzero roots of sum(c_i X^i) (in an algebraic
     closure), with multiplicity, ascending: the negated lower-hull slopes of
     the points (i, v_p(c_i)). NewtonPolygon.from_polynomial also counts the
     zero roots. Raises EmptyPolynomial when every coefficient is zero."""
-    return NewtonPolygon.from_polynomial(coeffs, p).slopes()
+    return list(NewtonPolygon.from_polynomial(coeffs, p).slopes)

@@ -46,12 +46,10 @@ def json_dumps_stable(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def exact_decimal(x, decimals: int = 6) -> str:
-    """Decimal rendering of a rational by integer arithmetic (no float),
-    truncated toward zero. For plot data files."""
+def exact_decimal(x) -> str:
+    """Decimal rendering of a rational to 6 places by integer arithmetic (no
+    float), truncated toward zero. For plot data files."""
     f = Fraction(x)
     sign = "-" if f < 0 else ""
-    scale = 10**decimals
-    scaled = abs(f.numerator) * scale // f.denominator
-    whole, frac = divmod(scaled, scale)
-    return f"{sign}{whole}.{frac:0{decimals}d}"
+    whole, frac = divmod(abs(f.numerator) * 10**6 // f.denominator, 10**6)
+    return f"{sign}{whole}.{frac:06d}"

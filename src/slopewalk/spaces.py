@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     RepeatedRoot,
 )
-from .padic import INFINITY, is_prime, newton_slopes, val
+from .padic import is_prime, newton_slopes, val
 from .qseries import (
     QSeries,
     _norm,
@@ -235,10 +235,6 @@ class OperatorMatrix:
     operator: str
     space: SpaceBasis
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
     def as_lists(self) -> linalg.Matrix:
         return [list(row) for row in self.entries]
 
@@ -352,9 +348,6 @@ def extract_slope_eigenform(m: OperatorMatrix, target_slope, p: int) -> QSeries:
 class RefinementModel:
     """Valuations of the two roots of X^2 - a_p X + p^(k-1)."""
 
-    a_p: Fraction
-    k: int
-    p: int
     alpha_val: Fraction
     beta_val: Fraction
 
@@ -367,7 +360,7 @@ def refinement(a_p, k: int, p: int) -> RefinementModel:
     lo, hi = slopes
     if lo + hi != k - 1:
         raise InvariantError(f"refinement slopes {lo}+{hi} != {k - 1}")
-    return RefinementModel(a_p, k, p, lo, hi)
+    return RefinementModel(lo, hi)
 
 
 # order of alpha/beta from t = a_p^2 / p^(k-1): t - 2 = z + 1/z forces
@@ -375,12 +368,13 @@ def refinement(a_p, k: int, p: int) -> RefinementModel:
 _RATIO_ORDER_BY_T = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
-def ratio_order(a_p, k: int, p: int):
+def ratio_order(a_p, k: int, p: int) -> int | None:
     """Multiplicative order of the refinement ratio alpha/beta.
 
     Returns a positive integer (2, 3, 4 or 6) when the ratio is a root of
-    unity and INFINITY otherwise. The classification is by t = a_p^2/p^(k-1);
-    it matches the brute-force quadratic-field oracle exactly (tested).
+    unity and None (infinite order) otherwise. The classification is by
+    t = a_p^2/p^(k-1); it matches the brute-force quadratic-field oracle
+    exactly (tested).
     t is 1, 2, 3 or 4 (a repeated root) only when v_p(t) = 2 v_p(a_p) - (k-1)
     is 0, 1 or 2, so p^(k-1) is formed only then: a huge |k| is decided by
     valuations alone.
@@ -391,19 +385,21 @@ def ratio_order(a_p, k: int, p: int):
     if a_p == 0:
         return _RATIO_ORDER_BY_T[0]
     if not 0 <= 2 * val(a_p, p) - (k - 1) <= 2:
-        return INFINITY
+        return None
     pk = Fraction(p) ** (k - 1)
     if a_p * a_p == 4 * pk:
         raise RepeatedRoot(f"a_p^2 = 4 p^(k-1) for a_p={a_p}, k={k}, p={p}")
     t = a_p * a_p / pk
     if t.denominator == 1 and t.numerator in _RATIO_ORDER_BY_T:
         return _RATIO_ORDER_BY_T[t.numerator]
-    return INFINITY
+    return None
 
 
 def is_n_regular(a_p, k: int, p: int, n: int) -> bool:
-    """True when the refinement ratio has multiplicative order > n-1."""
-    return ratio_order(a_p, k, p) > n - 1
+    """True when the refinement ratio has multiplicative order > n-1
+    (infinite order included)."""
+    order = ratio_order(a_p, k, p)
+    return order is None or order > n - 1
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import threading
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
+from statistics import median_high
 
 import pytest
 from hypothesis import given, settings
@@ -430,6 +431,66 @@ def test_balanced_charpoly_matches_leibniz_on_planted_valuations(m):
     cp = charpoly(m)
     assert cp == _leibniz_charpoly(m)
     _check_types(m, cp)
+
+
+@st.composite
+def sparse_int_matrices(draw, max_n=12):
+    """n x n integer matrices, mostly zero, whose nonzero entries are u 2^e
+    with u odd and e up to 60 drawn per entry, so the valuations follow no
+    row or column pattern."""
+    n = draw(st.integers(1, max_n))
+    entry = st.one_of(st.just(0), st.just(0),
+                      st.builds(lambda u, e: (2 * u + 1) << e,
+                                st.integers(-(2**20), 2**20), st.integers(0, 60)))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+def _floyd_warshall_balance(m):
+    """_balance's (U, g) by another route: the median labels, lowered to the
+    greatest feasible ones by all-pairs shortest paths (Floyd-Warshall) over
+    the edges j -> i of length v_ij, then the row and column pulls read off
+    as least valuations and U formed with Fraction powers of 2."""
+    def v2(x):
+        e = 0
+        while x % 2 == 0:
+            x, e = x // 2, e + 1
+        return e
+
+    n, inf = len(m), float("inf")
+    v = [[v2(x) if x else None for x in row] for row in m]
+    d = [0]
+    for j in range(n - 1):
+        gaps = [row[j] - row[j + 1] for row in v if row[j] is not None and row[j + 1] is not None]
+        d.append(d[-1] + (median_high(gaps) if gaps else 0))
+    dist = [[0 if a == b else (v[b][a] if v[b][a] is not None else inf) for b in range(n)]
+            for a in range(n)]  # dist[j][i]: the shortest path j -> i
+    for c in range(n):
+        for a in range(n):
+            for b in range(n):
+                dist[a][b] = min(dist[a][b], dist[a][c] + dist[c][b])
+    d = [min(d[j] + dist[j][i] for j in range(n)) for i in range(n)]
+    nonzero = [[j for j in range(n) if v[i][j] is not None] for i in range(n)]
+    rho = [min((v[i][j] + d[j] - d[i] for j in nonzero[i]), default=0) for i in range(n)]
+    kappa = [min((v[i][j] + d[j] - d[i] - rho[i] for i in range(n) if v[i][j] is not None),
+                 default=0) for j in range(n)]
+    u = [[Fraction(m[i][j]) * Fraction(2) ** (d[j] - d[i] - rho[i] - kappa[j]) for j in range(n)]
+         for i in range(n)]
+    assert all(x.denominator == 1 for row in u for x in row)
+    return [[int(x) for x in row] for row in u], [r + k for r, k in zip(rho, kappa)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(planted_matrices(12), sparse_int_matrices()))
+def test_balance_picks_the_greatest_feasible_labels(m):
+    u, g = linalg._balance(m)
+    assert (u, g) == _floyd_warshall_balance(m)
+    assert min(g) >= 0
+
+
+def test_balance_of_the_u2_matrices_matches_floyd_warshall():
+    for n in (1, 8, 20, 34, 60):
+        m = _u2(n)
+        assert linalg._balance(m) == _floyd_warshall_balance(m), n
 
 
 def _textbook_berkowitz(m):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from oracle_store import _nbuzzard_calegari, fixture_value
@@ -5,6 +7,7 @@ import slopewalk.overconvergent as ov
 from slopewalk.errors import InsufficientPrecision, InvariantError
 from slopewalk.cli import main
 from slopewalk.overconvergent import oc_slopes, u2_matrix_weight0
+from slopewalk.padic import NewtonPolygon
 from slopewalk.serialize import rat_from_str
 
 
@@ -66,10 +69,12 @@ def test_capped_power_sums_give_the_uncapped_matrix():
 
 
 def test_smallest_slope_zero_and_sorted():
-    report = oc_slopes(u2_matrix_weight0(8, 24))
-    assert report.slopes[0] == 0
-    assert list(report.slopes) == sorted(report.slopes)
-    assert report.zero_root_multiplicity == 0
+    polygon = oc_slopes(u2_matrix_weight0(8, 24))
+    assert type(polygon) is NewtonPolygon
+    assert type(polygon.slopes) is tuple and all(type(s) is Fraction for s in polygon.slopes)
+    assert polygon.slopes[0] == 0
+    assert list(polygon.slopes) == sorted(polygon.slopes)
+    assert polygon.zero_root_multiplicity == 0
 
 
 def test_frozen_n20_fixture_reproduced():
