@@ -25,17 +25,25 @@ powers pulled out are the least valuations of their rows and columns, so
 every right shift made while balancing is exact, and the similarity keeps
 every scaled off-diagonal valuation >= 0, so every g_i is too.
 
-Berkowitz's step r needs only the leading (r+1) x (r+1) block, so from
-FORK_MIN_N rows on, on a second CPU, charpoly runs the top steps' Krylov
-sequences in one forked child process (see charpoly). The coefficients are
-the same integers, of the same types, whether it forks or not.
+Each Berkowitz step is written with the adjugate (Berkowitz, IPL 18, 1984;
+the adjugate by Faddeev-LeVerrier and Cayley-Hamilton): step r turns
+det(I - z A), A the leading r x r block, into det(I - z M), M the leading
+(r+1) x (r+1) one, by r + 1 products of M with a vector, with no Krylov
+sequence and no convolution (see _berkowitz_step). Its k-th coefficient
+needs only the k-th of step r - 1, so from FORK_MIN_N rows on, on a second
+CPU, charpoly runs every other step in one forked child, and the two
+processes stream each coefficient to each other as soon as it is computed
+(see charpoly). The coefficients are the same integers, of the same types,
+whether it forks or not.
 """
 
 from __future__ import annotations
 
-import marshal
 import os
+import select
+import signal
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -220,137 +228,204 @@ def _balance(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return u, [r + k for r, k in zip(rho, kappa)]
 
 
-def _krylov_sequence(u: list[list[int]], g: list[int], spans: list[tuple[int, int]],
-                     r: int) -> list[int]:
-    """Berkowitz step r on the integer matrix diag(2^g) U: s_k = R A^k C for
-    k = 0..r-1, where A is the leading r x r minor and R and C are row r and
-    column r cut to it. Each row enters a product only over its span
-    [first, last + 1) of nonzero columns. The step reads nothing but the
-    leading (r + 1) x (r + 1) block, so the steps can run in any order."""
-    bands = [(u[i], lo, min(hi, r)) for i, (lo, hi) in enumerate(spans[:r])]
-    shifted = [(i, g[i]) for i in range(r) if g[i]]
-    lo, hi = spans[r][0], min(spans[r][1], r)
-    row = [x << g[r] for x in u[r][lo:hi]]  # R
-    w = [u[i][r] << g[i] for i in range(r)]  # A^k C
-    s = []
-    for k in range(r):
-        s.append(sum(map(mul, row, w[lo:hi])))
-        if k < r - 1:
-            w = [sum(map(mul, a[a_lo:a_hi], w[a_lo:a_hi])) for a, a_lo, a_hi in bands]
-            for i, g_i in shifted:
-                w[i] <<= g_i
-    return s
+def _berkowitz_step(u: list[list[int]], g: list[int], spans: list[tuple[int, int]],
+                    r: int, coeffs: Iterator[int]) -> Iterator[int]:
+    """Berkowitz step r in adjugate form, on the integer matrix diag(2^g) U,
+    each of whose rows enters a product only over its span [first, last +
+    1) of nonzero columns.
+
+    It draws a_1, ..., a_r of a(z) = det(I - z A), A the leading r x r
+    block, one at a time from coeffs, and yields b_1, ..., b_(r+1) of
+    b(z) = det(I - z M), M the leading (r+1) x (r+1) block (a_0 = b_0 =
+    1). Let R and C be row r and column r
+    cut to A, and m = m_rr. Then
+
+        b = a (1 - m z) - z^2 R adj(I - z A) C,
+        adj(I - z A) = sum_j z^j B_j,  B_j = sum_(i <= j) a_i A^(j-i),
+
+    so y_j = B_j C runs y_0 = C, y_j = A y_(j-1) + a_j C, and b_k = a_k -
+    m a_(k-1) - R y_(k-2). Both are one product by M: M (y_(k-2), a_(k-1))
+    = (y_(k-1), R y_(k-2) + m a_(k-1)). So for k = 1..r+1, t = (0, ..., 0,
+    a_0) becomes M t, b_k is a_k minus the last entry of M t, and a_k takes
+    that entry's place (a_(r+1) = 0, and the last product needs only row
+    r). The y_j are bounded by the adjugate's coefficients, not by powers
+    of A, and no convolution remains.
+
+    b_k needs a_k only after the k-th product, so the step can run one
+    coefficient behind step r - 1.
+    """
+    bands = []  # rows 0..r of U cut to M's columns
+    for row, (lo, hi) in zip(u, spans[:r + 1]):
+        hi = min(hi, r + 1)
+        bands.append((row[lo:hi], lo, hi))
+    shifted = [(i, g[i]) for i in range(r + 1) if g[i]]
+    t = [0] * r + [1]
+    for _ in range(r):
+        t = [sum(map(mul, row, t[lo:hi])) for row, lo, hi in bands]
+        for i, g_i in shifted:
+            t[i] <<= g_i
+        a = next(coeffs)
+        yield a - t[r]
+        t[r] = a
+    row, lo, hi = bands[r]
+    yield -(sum(map(mul, row, t[lo:hi])) << g[r])
 
 
-# The smallest n whose charpoly forks a child; below it, on the weight-0 U_2
-# matrices or those of U_2 on Gamma0(2) or Gamma1(4), the fork and the pipe
-# can cost more than the child saves.
-FORK_MIN_N = 20
-# Estimated cost of step r, in units of r^4: a Krylov sequence costs 4 and
-# the Toeplitz product that folds it into v costs 1.
-_KRYLOV_WEIGHT, _TOEPLITZ_WEIGHT = 4, 1
+# The smallest n whose charpoly forks a child; below it the fork, the
+# child's start and the pipes cost more than the second CPU saves (the
+# median per call, summed over the weight-0 U_2 matrices and those of U_2
+# on Gamma0(2) and Gamma1(4), was lower forked from 24 rows on).
+FORK_MIN_N = 24
 
 
-def _child_first_step(n: int) -> int:
-    """The first Berkowitz step that a forked child computes, or n when
-    nothing is forked: no os.fork, fewer than two usable CPUs, a second
-    thread running (forking it is unsafe), or n below FORK_MIN_N. The child
-    takes the top steps, as many as keep its estimated Krylov cost within
-    half of the whole charpoly's."""
+def _pipelined(n: int) -> bool:
+    """Whether charpoly runs the steps of an n x n matrix in two processes:
+    n >= FORK_MIN_N, os.fork exists, two CPUs are usable and no other thread
+    runs (forking it is unsafe)."""
     if n < FORK_MIN_N or not hasattr(os, "fork"):
-        return n
+        return False
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     threading = sys.modules.get("threading")
-    if cpus < 2 or (threading is not None and threading.active_count() > 1):
-        return n
-    budget = (_KRYLOV_WEIGHT + _TOEPLITZ_WEIGHT) * sum(r**4 for r in range(1, n)) // 2
-    first = n
-    while first > 1 and _KRYLOV_WEIGHT * (first - 1) ** 4 <= budget:
-        first -= 1
-        budget -= _KRYLOV_WEIGHT * first**4
-    return first
+    return cpus >= 2 and (threading is None or threading.active_count() == 1)
 
 
-class _KrylovChild:
-    """A forked process that computes _krylov_sequence for the steps
-    first..n-1 in order, and streams each s to this one as soon as it is
-    done: 8 bytes of length, then the marshal bytes of the list.
+class _Link:
+    """One process's ends of the two pipes between charpoly's processes.
+    Each coefficient goes as 4 bytes of length and then the int's signed
+    little-endian bytes.
 
-    The child ends only through os._exit, so it never flushes the stdio
-    buffers it inherited, and it stops once this process is gone. The parent
-    drains the pipe between its own steps so that the child seldom blocks on
-    a full pipe, and reap() kills the child unless every step arrived and
-    waits for it, so no process or zombie is left behind.
+    A write never blocks: what the pipe does not take is queued, and written
+    by the next send, or while this process waits for input, which it does
+    on both fds at once. So neither process can wait in a write for the
+    other. Output to a process that has gone (EPIPE) is dropped, and input
+    from it ends in EOFError once what it sent has been read.
     """
 
-    def __init__(self, u: list[list[int]], g: list[int], spans: list[tuple[int, int]],
-                 first: int, n: int):
-        read_fd, write_fd = os.pipe()
-        parent = os.getpid()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                for r in range(first, n):
-                    if os.getppid() != parent:
-                        break
-                    data = marshal.dumps(_krylov_sequence(u, g, spans, r))
-                    view = memoryview(len(data).to_bytes(8, "little") + data)
-                    while view:
-                        view = view[os.write(write_fd, view):]
-                else:
-                    status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        self.pid, self.fd, self.buf = pid, read_fd, bytearray()
-        self.pending, self.ended = n - first, False
+    def __init__(self, read_fd: int, write_fd: int):
+        os.set_blocking(write_fd, False)
+        self.read_fd, self.write_fd = read_fd, write_fd
+        self.inbox, self.pos, self.outbox = bytearray(), 0, bytearray()
+        self.poll = select.poll()
+        self.poll.register(read_fd, select.POLLIN)
 
-    def _read(self, block: bool) -> bool:
-        """Append what the pipe holds to buf; False when nothing more can be
-        read now (the pipe is empty without block, or at its end)."""
-        os.set_blocking(self.fd, block)
+    def send(self, c: int) -> None:
+        data = c.to_bytes((c.bit_length() + 8) // 8, "little", signed=True)
+        self.outbox += len(data).to_bytes(4, "little") + data
+        self._write()
+
+    def _write(self) -> None:
         try:
-            chunk = os.read(self.fd, 1 << 16)
+            del self.outbox[:os.write(self.write_fd, self.outbox)]
         except BlockingIOError:
-            return False
-        self.buf += chunk
-        self.ended = not chunk
-        return bool(chunk)
-
-    def drain(self) -> None:
-        while not self.ended and self._read(False):
             pass
+        except BrokenPipeError:
+            self.outbox.clear()
 
-    def take(self) -> list[int] | None:
-        """The next step's s, waiting for it; None once the stream has ended
-        without it."""
-        buf = self.buf
+    def _wait(self) -> None:
+        """Waits until input arrives and appends it to the inbox, writing
+        queued output meanwhile."""
         while True:
-            if len(buf) >= 8:
-                end = 8 + int.from_bytes(buf[:8], "little")
-                if len(buf) >= end:
-                    s = marshal.loads(buf[8:end])
-                    del buf[:end]
-                    self.pending -= 1
-                    return s
-            if self.ended or not self._read(True):
-                return None
+            if self.outbox:
+                self.poll.register(self.write_fd, select.POLLOUT)
+            ready = {fd for fd, _ in self.poll.poll()}
+            if self.outbox:
+                self.poll.unregister(self.write_fd)
+                if self.write_fd in ready:
+                    self._write()
+            if self.read_fd in ready:
+                chunk = os.read(self.read_fd, 1 << 16)
+                if not chunk:
+                    raise EOFError("the other process has gone")
+                del self.inbox[:self.pos]
+                self.pos = 0
+                self.inbox += chunk
+                return
 
-    def reap(self) -> None:
-        os.close(self.fd)
-        if self.pending:
-            os.kill(self.pid, 9)  # SIGKILL
-        os.wait4(self.pid, 0)
+    def receive(self, count: int) -> Iterator[int]:
+        """The next count coefficients, each as soon as it has arrived."""
+        for _ in range(count):
+            while True:
+                inbox, pos = self.inbox, self.pos
+                if len(inbox) >= pos + 4:
+                    end = pos + 4 + int.from_bytes(inbox[pos:pos + 4], "little")
+                    if len(inbox) >= end:
+                        break
+                self._wait()
+            self.pos = end
+            yield int.from_bytes(inbox[pos + 4:end], "little", signed=True)
+
+    def flush(self) -> None:
+        """Writes all queued output, blocking: only for the child's last
+        words, which the parent reads to the end unless it kills the child."""
+        os.set_blocking(self.write_fd, True)
+        while self.outbox:
+            self._write()
+
+
+def _two_process_steps(u: list[list[int]], g: list[int], spans: list[tuple[int, int]],
+                       n: int) -> tuple[list[int], int]:
+    """Runs the n Berkowitz steps in this process and one forked child: the
+    child takes the steps of the parity of n, this process those of n - 1,
+    the last one included. Each streams each coefficient to the other as
+    soon as it has computed it, and step r draws step r - 1's coefficients
+    as they arrive.
+
+    Returns (v, done): b_1..b_done of the leading done x done block, the
+    last whole v held here. done is n unless the child could not be started
+    or stopped early; the caller then runs the steps from done on in
+    process. The child leaves only through os._exit, so it never flushes
+    the stdio buffers it inherited, and once this process is gone it stops
+    at the end of its input, which every step after step 0 reads between
+    its products. The child is killed and reaped, and every fd closed,
+    whether this returns or raises.
+    """
+    fds: list[int] = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:  # no process or pipe to spare
+        for fd in fds:
+            os.close(fd)
+        return [], 0
+    child_in, to_child, from_child, child_out = fds
+    if pid == 0:
+        status = 1
+        try:
+            os.close(to_child)
+            os.close(from_child)
+            link = _Link(child_in, child_out)
+            for r in range(n % 2, n - 1, 2):
+                for c in _berkowitz_step(u, g, spans, r, link.receive(r)):
+                    link.send(c)
+            link.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(child_in)
+    os.close(child_out)
+    v: list[int] = []
+    done = 0
+    try:
+        link = _Link(from_child, to_child)
+        for r in range((n - 1) % 2, n, 2):
+            out = []
+            for c in _berkowitz_step(u, g, spans, r, link.receive(r)):
+                out.append(c)
+                if r + 1 < n:
+                    link.send(c)
+            v, done = out, r + 1
+    except EOFError:  # the child stopped early
+        pass
+    finally:
+        os.close(to_child)
+        os.close(from_child)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return v, done
 
 
 def charpoly(mat: Matrix) -> list:
@@ -364,26 +439,25 @@ def charpoly(mat: Matrix) -> list:
     The integer matrix is replaced by the similar diag(2^g) U of _balance:
     the entries of the weight-0 U_2 matrix are ~200-bit numbers that are
     mostly trailing zeros, and U holds their small cofactors, so each
-    product with A^k C below multiplies a cofactor and shifts the sum left
-    by g_i. Division-free Berkowitz then runs on diag(2^g) U: step r extends
-    the charpoly of the leading r x r minor A to that of the (r+1) x (r+1)
-    one by convolving it with the Toeplitz column 1, -m_rr, -R C, -R A C,
-    ..., -R A^(r-1) C, where R and C are row r and column r cut to the
-    minor. Each row enters a product only over the span of its nonzero
-    columns (the weight-0 U_2 matrix is nonzero only for j/2 <= i <= 2j, so
-    this skips about half of it), and every inner product, the
-    convolution's included, is one sum(map(mul, ...)) over list slices.
+    product with a vector multiplies a cofactor and shifts the sum left by
+    g_i. Division-free Berkowitz then runs on diag(2^g) U in adjugate form
+    (_berkowitz_step): step r extends det(I - z A), A the leading r x r
+    block, to det(I - z M), M the leading (r+1) x (r+1) one, by r + 1
+    products of M with a vector bounded by the coefficients of adj(I - z A),
+    and c_i is the coefficient of z^(n-i) after the last step. Each row
+    enters a product only over the span of its nonzero columns (the weight-0
+    U_2 matrix is nonzero only for j/2 <= i <= 2j, so this skips about half
+    of it), and every product is one sum(map(mul, ...)) over list slices.
 
-    The Krylov sequences R A^k C are ~80% of the time, and step r's reads
-    only the leading (r+1) x (r+1) block. So for n >= FORK_MIN_N, with a
-    second usable CPU, os.fork and no other thread running, a forked child
-    computes the top steps from _child_first_step(n) on, about half of the
-    estimated work, and streams each sequence back as soon as it is done;
-    this process computes the low steps and runs the Toeplitz convolutions
-    of all of them in order. The output is the same, byte for byte, either
-    way: the child runs the same _krylov_sequence, and a step it did not
-    deliver whole is computed here. No child outlives the call, whether it
-    returns or raises.
+    Step r's k-th coefficient needs only step r - 1's k-th. So for n >=
+    FORK_MIN_N, with a second usable CPU, os.fork and no other thread
+    running, a forked child takes every other step and this process the
+    rest, the last one included, each streaming each coefficient to the
+    other as soon as it is computed (_two_process_steps). The output is the
+    same, byte for byte, either way: both processes run the same
+    _berkowitz_step, and if the child stops early, this process runs every
+    remaining step itself from the last whole set of coefficients it holds.
+    No child or pipe outlives the call, whether it returns or raises.
     """
     n = len(mat)
     if n == 0:
@@ -399,27 +473,12 @@ def charpoly(mat: Matrix) -> list:
     for row in u:
         nonzero = [j for j, x in enumerate(row) if x]
         spans.append((nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0))
-    first = _child_first_step(n)
-    try:
-        child = _KrylovChild(u, g, spans, first, n) if first < n else None
-    except OSError:  # no process or pipe to spare: every step runs here
-        child = None
-    try:
-        # v holds the charpoly of the leading principal minor, highest degree first
-        v = [1, -ints[0][0]]
-        for r in range(1, n):
-            s = child.take() if child and r >= first else None
-            if s is None:
-                s = _krylov_sequence(u, g, spans, r)
-            # v times the Toeplitz column 1, -m_rr, -s_0, ..., -s_(r-1), both
-            # read highest degree first
-            v = truncated_product([1, -ints[r][r], *(-x for x in s)], v, r + 2)
-            if child:
-                child.drain()
-    finally:
-        if child:
-            child.reap()
+    # v holds b_1..b_r of det(I - z A), A the leading r x r block, after r steps
+    v, done = _two_process_steps(u, g, spans, n) if _pipelined(n) else ([], 0)
+    for r in range(done, n):
+        v = list(_berkowitz_step(u, g, spans, r, iter(v)))
     v.reverse()
+    v.append(1)
     if integral:
         return v
     return [Fraction(c, scale ** (n - i)) for i, c in enumerate(v[:-1])] + [1]
@@ -452,7 +511,11 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _evaluate(f: list[int], y: int) -> int:
-    return sum(c * y**i for i, c in enumerate(f))
+    """f(y) by Horner's rule, f ascending."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * y + c
+    return acc
 
 
 def rational_roots(coeffs) -> list[tuple[Fraction, int]]:

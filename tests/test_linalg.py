@@ -2,8 +2,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from pathlib import Path
 from statistics import median_high
 
@@ -538,7 +539,7 @@ def test_charpoly_of_the_u2_matrices_matches_textbook_berkowitz():
         _check_types(m, cp)
 
 
-# -- charpoly's forked Krylov steps against the in-process loop ------------------
+# -- charpoly's two-process pipeline against the in-process loop ---------------
 
 def _u2(n):
     from slopewalk.overconvergent import u2_matrix_weight0
@@ -556,13 +557,17 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _open_fds():
+    return os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.one_of(planted_matrices(linalg.FORK_MIN_N + 2, linalg.FORK_MIN_N),
                  planted_fraction_matrices(linalg.FORK_MIN_N, linalg.FORK_MIN_N)))
 def test_forked_charpoly_matches_textbook_berkowitz(m):
     with pytest.MonkeyPatch.context() as mp:
         two_cpus(mp)
-        assert linalg._child_first_step(len(m)) < len(m)  # the child takes some steps
+        assert linalg._pipelined(len(m))  # two processes share the steps
         cp = charpoly(m)
     assert cp == _textbook_berkowitz(m)
     _check_types(m, cp)
@@ -572,52 +577,71 @@ def test_forked_charpoly_matches_textbook_berkowitz(m):
 def test_forked_charpoly_of_the_u2_matrices_matches_the_in_process_loop(monkeypatch):
     sizes = [*range(linalg.FORK_MIN_N, 35), 40, 48, 60]
     two_cpus(monkeypatch)
+    fds = _open_fds()
     forked = {n: charpoly(_u2(n)) for n in sizes}
-    assert all(linalg._child_first_step(n) < n for n in sizes)
+    assert all(linalg._pipelined(n) for n in sizes)
+    assert _open_fds() == fds
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert all(linalg._child_first_step(n) == n for n in sizes)
+    assert not any(linalg._pipelined(n) for n in sizes)
     for n in sizes:
         assert forked[n] == charpoly(_u2(n)), n
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("fail_at", [0, 2, 4])
+def _steps_of(n, child):
+    """The Berkowitz steps that the child, or the parent, runs for an n x n
+    matrix: every other one, the parent's ending with the last."""
+    return list(range(n % 2 if child else (n - 1) % 2, n - 1 if child else n, 2))
+
+
+@pytest.mark.parametrize("fail_at", [0, 2, 4, 7, -1])
 def test_a_failed_child_still_gives_the_charpoly(monkeypatch, fail_at):
-    """The child exits 1 at its fail_at-th step, having streamed the steps
-    before it; the parent computes the rest itself."""
-    m = _u2(30)
+    """The child exits 1 halfway through the fail_at-th of its steps (its
+    first, three in the middle and its last), having streamed the
+    coefficients before; the parent runs that step and the rest itself."""
+    n = 30
+    m = _u2(n)
     expected = _textbook_berkowitz(m)
-    parent, krylov, steps = os.getpid(), linalg._krylov_sequence, []
+    parent, step, here = os.getpid(), linalg._berkowitz_step, []
+    failing_step = _steps_of(n, child=True)[fail_at]
 
-    def failing(u, g, spans, r):
-        if os.getpid() != parent:
-            if len(steps) == fail_at:
-                os._exit(1)
-            steps.append(r)
-        return krylov(u, g, spans, r)
+    def failing(u, g, spans, r, coeffs):
+        if os.getpid() == parent:
+            here.append(r)
+        elif r == failing_step:
+            yield from islice(step(u, g, spans, r, coeffs), (r + 1) // 2)
+            os._exit(1)
+        yield from step(u, g, spans, r, coeffs)
 
-    monkeypatch.setattr(linalg, "_krylov_sequence", failing)
+    monkeypatch.setattr(linalg, "_berkowitz_step", failing)
     two_cpus(monkeypatch)
-    assert linalg._child_first_step(30) + fail_at < 30
     assert charpoly(m) == expected
+    # the parent's own steps up to the one that read the end of the stream,
+    # then every step from the failed one on, from the last whole v
+    mine = _steps_of(n, child=False)
+    assert here == [r for r in mine if r <= failing_step + 1] + list(range(failing_step, n))
     _assert_no_child_left()
 
 
 def test_an_exception_mid_stream_leaves_no_child(monkeypatch):
     m = _u2(34)
     two_cpus(monkeypatch)
-    first, product = linalg._child_first_step(34), linalg.truncated_product
+    fds = _open_fds()
+    parent, step = os.getpid(), linalg._berkowitz_step
+    third = _steps_of(34, child=False)[2]
 
-    def failing(a, b, n):  # n = r + 2 in step r
-        if n - 2 == first + 1:
+    def failing(u, g, spans, r, coeffs):
+        if os.getpid() == parent and r == third:
+            yield from islice(step(u, g, spans, r, coeffs), 3)
             raise KeyboardInterrupt
-        return product(a, b, n)
+        yield from step(u, g, spans, r, coeffs)
 
-    monkeypatch.setattr(linalg, "truncated_product", failing)
+    monkeypatch.setattr(linalg, "_berkowitz_step", failing)
     with pytest.raises(KeyboardInterrupt):
         charpoly(m)
     _assert_no_child_left()
-    monkeypatch.setattr(linalg, "truncated_product", product)
+    assert _open_fds() == fds
+    monkeypatch.setattr(linalg, "_berkowitz_step", step)
     assert charpoly(m) == _textbook_berkowitz(m)
     _assert_no_child_left()
 
@@ -629,20 +653,20 @@ def test_one_cpu_forks_nothing(monkeypatch):
     m = _u2(34)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", no_fork)
-    assert linalg._child_first_step(34) == 34
+    assert not linalg._pipelined(34)
     assert charpoly(m) == _textbook_berkowitz(m)
 
 
 def test_no_fork_without_os_fork_or_with_a_second_thread(monkeypatch):
     m = _u2(24)
     two_cpus(monkeypatch)
-    assert linalg._child_first_step(24) < 24
+    assert linalg._pipelined(24)
     expected = _textbook_berkowitz(m)
     stop = threading.Event()
     worker = threading.Thread(target=stop.wait)
     worker.start()
     try:
-        assert linalg._child_first_step(24) == 24
+        assert not linalg._pipelined(24)
         monkeypatch.setattr(os, "fork", None)  # charpoly calling it fails
         assert charpoly(m) == expected
     finally:
@@ -650,22 +674,33 @@ def test_no_fork_without_os_fork_or_with_a_second_thread(monkeypatch):
         worker.join(10)
     assert not worker.is_alive()
     monkeypatch.delattr(os, "fork")
-    assert linalg._child_first_step(24) == 24
+    assert not linalg._pipelined(24)
     assert charpoly(m) == expected
 
 
 def test_a_failed_fork_runs_every_step_in_process(monkeypatch):
     m = _u2(24)
     two_cpus(monkeypatch)
-    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    fds = _open_fds()
+    expected = _textbook_berkowitz(m)
 
     def failing_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")  # EAGAIN
 
     monkeypatch.setattr(os, "fork", failing_fork)
-    assert charpoly(m) == _textbook_berkowitz(m)
-    if fds is not None:  # the pipe is closed again
-        assert os.listdir("/proc/self/fd") == fds
+    assert charpoly(m) == expected
+    assert _open_fds() == fds  # both pipes are closed again
+    pipe, pipes = os.pipe, []
+
+    def second_pipe_fails():
+        if pipes:
+            raise OSError(24, "Too many open files")  # EMFILE
+        pipes.append(pipe())
+        return pipes[-1]
+
+    monkeypatch.setattr(os, "pipe", second_pipe_fails)
+    assert charpoly(m) == expected
+    assert pipes and _open_fds() == fds  # the first pipe is closed again
 
 
 def test_the_child_never_flushes_inherited_stdout():
@@ -676,13 +711,105 @@ def test_the_child_never_flushes_inherited_stdout():
               "from slopewalk.overconvergent import u2_matrix_weight0; "
               "m = [list(r) for r in u2_matrix_weight0(30, 68).matrix]; "
               "print('before'); "
-              "print(linalg._child_first_step(30) < 30, len(linalg.charpoly(m)))")
+              "print(linalg._pipelined(30), len(linalg.charpoly(m)))")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(slopewalk.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "before\nTrue 31\n"
+
+
+ORPHANED_CHILD = """
+import os
+from slopewalk import linalg
+from slopewalk.overconvergent import u2_matrix_weight0
+
+fork = os.fork
+
+def reporting_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+m = [list(r) for r in u2_matrix_weight0(60, 128).matrix]
+os.fork = reporting_fork
+os.sched_getaffinity = lambda pid: {0, 1}
+linalg.charpoly(m)
+"""
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in "ZX"  # a zombie or a dead process has stopped
+
+
+def test_the_child_stops_once_the_parent_is_gone():
+    if not os.path.isdir("/proc/self"):
+        pytest.skip("reads process states from /proc")
+    env = dict(os.environ, PYTHONPATH=str(Path(slopewalk.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", ORPHANED_CHILD], stdout=subprocess.PIPE,
+                            text=True, env=env)
+    try:
+        child = int(proc.stdout.readline())
+    finally:
+        proc.kill()  # mid-charpoly: the N = 60 steps take about a second
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    deadline = time.monotonic() + 30
+    while _running(child):
+        assert time.monotonic() < deadline, "the child outlived its parent"
+        time.sleep(0.05)
+
+
+SHRUNK_PIPES = """
+import fcntl, os
+from slopewalk import linalg
+from slopewalk.overconvergent import u2_matrix_weight0
+
+pipe, shrunk = os.pipe, []
+
+def small_pipe():
+    fds = pipe()
+    fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, 4096)
+    shrunk.append(fcntl.fcntl(fds[1], fcntl.F_GETPIPE_SZ))
+    return fds
+
+m = [list(r) for r in u2_matrix_weight0(60, 128).matrix]
+os.pipe = small_pipe
+os.sched_getaffinity = lambda pid: {0, 1}
+forked = linalg.charpoly(m)
+os.sched_getaffinity = lambda pid: {0}
+print(shrunk, forked == linalg.charpoly(m))
+"""
+
+
+def test_shrunk_pipes_still_give_the_charpoly():
+    # with pipes of one page, the N = 60 coefficients (up to ~9k bits each)
+    # overflow them at once: a process that blocked in a write while the
+    # other did too would hang until the timeout
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe sizes are set with F_SETPIPE_SZ, on Linux only")
+    env = dict(os.environ, PYTHONPATH=str(Path(slopewalk.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", SHRUNK_PIPES], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[4096, 4096] True\n"
+
+
+# -- rational_roots' Horner evaluation against the power sum ---------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-(2**300), 2**300), max_size=12),
+       st.one_of(st.integers(-20, 20), st.integers(-(2**80), 2**80)))
+def test_horner_evaluation_matches_the_power_sum(f, y):
+    assert linalg._evaluate(f, y) == sum(c * y**i for i, c in enumerate(f))
 
 
 # -- truncated_product against a double loop ------------------------------------
