@@ -272,10 +272,11 @@ def _berkowitz_step(u: list[list[int]], g: list[int], spans: list[tuple[int, int
 
 
 # The smallest n whose charpoly forks a child; below it the fork, the
-# child's start and the pipes cost more than the second CPU saves (the
-# median per call, summed over the weight-0 U_2 matrices and those of U_2
-# on Gamma0(2) and Gamma1(4), was lower forked from 24 rows on).
-FORK_MIN_N = 24
+# child's start and the pipes cost more than the second CPU saves. In four
+# sweeps over the weight-0 U_2 matrices and those of U_2 on Gamma0(2) and
+# Gamma1(4), the median per call summed over the three was lower forked at
+# n = 23 in three sweeps, and from n = 24 on in all four.
+FORK_MIN_N = 23
 
 
 def _pipelined(n: int) -> bool:
