@@ -236,9 +236,8 @@ def _berkowitz_step(u: list[list[int]], g: list[int], spans: list[tuple[int, int
 
     It draws a_1, ..., a_r of a(z) = det(I - z A), A the leading r x r
     block, one at a time from coeffs, and yields b_1, ..., b_(r+1) of
-    b(z) = det(I - z M), M the leading (r+1) x (r+1) block (a_0 = b_0 =
-    1). Let R and C be row r and column r
-    cut to A, and m = m_rr. Then
+    b(z) = det(I - z M), M the leading (r+1) x (r+1) block; a_0 = b_0 = 1.
+    Let R and C be row r and column r cut to A, and m = m_rr. Then
 
         b = a (1 - m z) - z^2 R adj(I - z A) C,
         adj(I - z A) = sum_j z^j B_j,  B_j = sum_(i <= j) a_i A^(j-i),
