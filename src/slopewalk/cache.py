@@ -9,7 +9,6 @@ so concurrent writers are safe; corrupt entries are evicted, never trusted.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -24,7 +23,10 @@ ENV_VAR = "SLOPEWALK_CACHE_DIR"
 @lru_cache(maxsize=1)
 def code_version() -> str:
     """Hash of the installed package sources; cache keys carry it so stale
-    entries die on any code change."""
+    entries die on any code change. hashlib is imported here and in _path,
+    never at module level, so a process that uses no cache never loads it."""
+    import hashlib
+
     root = Path(__file__).parent
     digest = hashlib.sha256()
     for path in sorted(root.glob("*.py")):
@@ -47,6 +49,8 @@ class ResultCache:
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: dict) -> Path:
+        import hashlib
+
         digest = hashlib.sha256(json_dumps_stable(key).encode()).hexdigest()
         return self.directory / f"{digest}.json"
 

@@ -94,11 +94,14 @@ def _serve(args, key: dict, compute, render) -> int:
     render counts as a miss and is replaced. With --verify-cache it is
     recomputed and compared byte-for-byte with the cached one, and a
     mismatch exits 3. render(obj) gives the CSV text and the --plot file
-    text of the decoded payload.
+    text of the decoded payload. The key gets code_version(), a hash of the
+    sources, only when a cache is in use, so an uncached run hashes nothing.
     """
-    key["code"] = code_version()
     directory = resolve_cache_dir(args.cache_dir)
-    cache = ResultCache(directory) if directory else None
+    cache = None
+    if directory:
+        key["code"] = code_version()
+        cache = ResultCache(directory)
     payload = None if cache is None or args.verify_cache else cache.get(key)
     try:
         rendered = None if payload is None else render(json.loads(payload))
@@ -300,11 +303,9 @@ def _cmd_nregular(args) -> int:
 
 
 def _cmd_hatada(args) -> int:
-    from dataclasses import asdict
-
     report = spaces.hatada_check(range(12, args.kmax + 1, 2))
     entries = [
-        {**asdict(e), "charpoly": [rat_to_str(c) for c in e.charpoly], "passed": e.passed}
+        {**e._asdict(), "charpoly": [rat_to_str(c) for c in e.charpoly], "passed": e.passed}
         for e in report.entries
     ]
     _print_json({"entries": entries, "all_passed": report.all_passed})

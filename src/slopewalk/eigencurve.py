@@ -16,7 +16,7 @@ power on these paths; the slope stays a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NonIntegralIndex, NotInBoundary, NotPotentiallyCrystalline
@@ -24,35 +24,40 @@ from .serialize import json_scalar, rat_from_str, rat_to_str
 from .weightspace import WeightCharacter, in_boundary, w_valuation
 
 
-@dataclass(frozen=True)
-class EigencurvePointModel:
+class EigencurvePointModel(
+    namedtuple("EigencurvePointModel", "wc slope pc classical_claim")
+):
     """Slope-and-weight model of a classical point.
 
     pc: potentially crystalline, i.e. not a twist of Steinberg at 2; the twin
     involution is only defined there. classical_claim is a recorded flag and
-    is validated against the numerical criterion by classify().
+    is validated against the numerical criterion by classify(). An int slope
+    is stored as a Fraction.
     """
 
+    __slots__ = ()
     wc: WeightCharacter
     slope: Fraction
-    pc: bool = True
-    classical_claim: bool = True
+    pc: bool
+    classical_claim: bool
 
-    def __post_init__(self):
-        if not isinstance(self.wc, WeightCharacter):
-            raise TypeError(f"wc must be a WeightCharacter, got {type(self.wc).__name__}")
-        for name in ("pc", "classical_claim"):
-            flag = getattr(self, name)
+    def __new__(cls, wc: WeightCharacter, slope, pc: bool = True, classical_claim: bool = True):
+        if not isinstance(wc, WeightCharacter):
+            raise TypeError(f"wc must be a WeightCharacter, got {type(wc).__name__}")
+        for name, flag in (("pc", pc), ("classical_claim", classical_claim)):
             if type(flag) is not bool:
                 raise TypeError(f"{name} must be a bool, got {type(flag).__name__}")
-        slope = self.slope
         if not isinstance(slope, Fraction):
             if type(slope) is not int:
                 raise TypeError(f"slope must be an int or a Fraction, got {type(slope).__name__}")
             slope = Fraction(slope)
-            object.__setattr__(self, "slope", slope)
         if slope.numerator < 0:
             raise ValueError(f"slope must be >= 0, got {slope}")
+        return super().__new__(cls, wc, slope, pc, classical_claim)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     @property
     def k(self) -> int:

@@ -33,7 +33,8 @@ tests/oracle_store.py, which shares no code with this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from operator import mul
 
 from .errors import InsufficientPrecision, InvariantError
 from .linalg import charpoly as _charpoly
@@ -46,10 +47,13 @@ MODULAR_EQUATION = (48, 4096, 1)
 _CHECK_PREC = 40  # q-precision of the per-call check of MODULAR_EQUATION
 
 
-@dataclass(frozen=True)
-class TruncatedCompactOperator:
+class TruncatedCompactOperator(namedtuple(
+    "TruncatedCompactOperator",
+    "size matrix residual_margins column_min_valuations row_min_valuations",
+)):
     """N x N finite section of U_2 in the hauptmodul power basis."""
 
+    __slots__ = ()
     size: int
     matrix: tuple[tuple[int, ...], ...]
     residual_margins: tuple[int, ...]  # zero rows known past each column's top degree
@@ -75,20 +79,23 @@ def _power_sums(count: int, rows: int) -> list[list[int]]:
 
 
 def _check_modular_equation() -> None:
-    """p_j(f) must equal 2 U_2(f^j) as q-series for j = 1, 2, 3."""
+    """p_j(f) must equal 2 U_2(f^j) as q-series for j = 1, 2, 3. The powers
+    f^0 .. f^6 that the p_j(f) take below q^rows are formed once."""
     f = hauptmodul_f(_CHECK_PREC)
     rows = _CHECK_PREC // 2
-    f_low = f.truncate(rows)
+    low = [QSeries.one(rows), f.truncate(rows)]
+    while len(low) < 7:
+        low.append(low[-1] * low[1])
+    columns = list(zip(*(power.coeffs for power in low)))  # f^0 .. f^6 at each q^n
     fj = f
     for j, p in enumerate(_power_sums(4, 7)[1:], start=1):
-        value, power = QSeries.zero(rows), QSeries.one(rows)
-        for coeff in p:
-            value, power = value + power.scalar_mul(coeff), power * f_low
-        if value.truncate(rows) != u_p(fj, 2).scalar_mul(2).truncate(rows):
+        if j > 1:
+            fj = fj * f
+        value = [sum(map(mul, p, column)) for column in columns]
+        if value != [2 * x for x in u_p(fj, 2).coeffs[:rows]]:
             raise InvariantError(
                 f"modular equation {MODULAR_EQUATION} disagrees with 2 U_2(f^{j}) as q-series"
             )
-        fj = fj * f
 
 
 def u2_matrix_weight0(n: int, prec: int) -> TruncatedCompactOperator:

@@ -9,7 +9,7 @@ spelling of "no value".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from numbers import Rational
 
@@ -87,13 +87,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(namedtuple("NewtonPolygon", "slopes zero_root_multiplicity")):
     """Newton polygon of sum(c_i X^i): the lower convex hull of the points
     (i, v_p(c_i)) of the nonzero c_i. ``slopes`` are its negated hull
     slopes with multiplicity, ascending: the valuations of the nonzero roots.
     Zero roots lie off the hull; ``zero_root_multiplicity`` counts them."""
 
+    __slots__ = ()
     slopes: tuple[Fraction, ...]
     zero_root_multiplicity: int
 

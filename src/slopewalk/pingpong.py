@@ -31,8 +31,7 @@ separately for concrete eigensystems via spaces.is_n_regular.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .eigencurve import (
@@ -69,8 +68,8 @@ def _require_object(obj, what: str) -> None:
         raise PreconditionError(f"{what} must be a JSON object, got {type(obj).__name__}")
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(namedtuple("Move", "kind src dst justification")):
+    __slots__ = ()
     kind: str
     src: EigencurvePointModel
     dst: EigencurvePointModel
@@ -94,8 +93,8 @@ class Move:
         )
 
 
-@dataclass(frozen=True)
-class Assumption:
+class Assumption(namedtuple("Assumption", "kind tag move status")):
+    __slots__ = ()
     kind: str  # "axiom" or "hypothesis"
     tag: str
     move: int | None
@@ -113,15 +112,15 @@ class Assumption:
         return cls(kind, tag, move, status)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "move code detail")):
+    __slots__ = ()
     move: int | None
     code: str
     detail: str
 
 
-@dataclass(frozen=True)
-class PingPongCertificate:
+class PingPongCertificate(namedtuple("PingPongCertificate", "endpoints moves assumptions")):
+    __slots__ = ()
     endpoints: tuple[int, int]
     moves: tuple[Move, ...]
     assumptions: tuple[Assumption, ...]

@@ -18,7 +18,6 @@ Conventions for the constructors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from numbers import Rational
@@ -39,18 +38,44 @@ def _norm(x) -> Rat:
     raise TypeError(f"expected a rational coefficient, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class QSeries:
-    """Exact truncated power series in q: coeffs a_0..a_{prec-1}."""
+    """Exact truncated power series in q: coeffs a_0..a_{prec-1}.
 
+    Immutable, and equal to another QSeries with the same coefficients and
+    precision. Not a tuple: q[n] is the coefficient a_n.
+    """
+
+    __slots__ = ("coeffs", "prec")
     coeffs: tuple[Rat, ...]
     prec: int
 
-    def __post_init__(self):
-        if self.prec < 1:
-            raise ValueError(f"prec must be >= 1, got {self.prec}")
-        if len(self.coeffs) != self.prec:
-            raise ValueError(f"{len(self.coeffs)} coefficients but prec={self.prec}")
+    def __init__(self, coeffs: tuple[Rat, ...], prec: int):
+        if prec < 1:
+            raise ValueError(f"prec must be >= 1, got {prec}")
+        if len(coeffs) != prec:
+            raise ValueError(f"{len(coeffs)} coefficients but prec={prec}")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "prec", prec)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.prec == other.prec and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs, self.prec))
+
+    def __repr__(self):
+        return f"QSeries(coeffs={self.coeffs!r}, prec={self.prec!r})"
+
+    def __reduce__(self):  # copy and pickle through __init__, as __setattr__ refuses
+        return type(self), (self.coeffs, self.prec)
 
     @classmethod
     def from_coeffs(cls, coeffs, prec: int | None = None) -> "QSeries":

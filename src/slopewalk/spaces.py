@@ -15,7 +15,7 @@ Level tags and their generator pairs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -113,10 +113,10 @@ def _check_weight(level: Level, k: int) -> None:
         raise ParityError(f"gamma1_4 admits k >= 1, got {k}")
 
 
-@dataclass(frozen=True)
-class SpaceBasis:
+class SpaceBasis(namedtuple("SpaceBasis", "level k basis prec dim exponents")):
     """q-expansion basis of M_k(level), one series per generator monomial."""
 
+    __slots__ = ()
     level: Level
     k: int
     basis: tuple[QSeries, ...]
@@ -227,10 +227,10 @@ def _zero_constant_echelon(space: SpaceBasis) -> tuple[SpaceBasis, list[int]]:
     return SpaceBasis(space.level, space.k, sliced, space.prec, len(sliced), ()), pivots
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(namedtuple("OperatorMatrix", "entries operator space")):
     """Matrix of an operator on a SpaceBasis: op(b_j) = sum_i M[i][j] b_i."""
 
+    __slots__ = ()
     entries: tuple[tuple[Fraction | int, ...], ...]
     operator: str
     space: SpaceBasis
@@ -344,10 +344,10 @@ def extract_slope_eigenform(m: OperatorMatrix, target_slope, p: int) -> QSeries:
     return series.scalar_mul(1 / Fraction(a1))
 
 
-@dataclass(frozen=True)
-class RefinementModel:
+class RefinementModel(namedtuple("RefinementModel", "alpha_val beta_val")):
     """Valuations of the two roots of X^2 - a_p X + p^(k-1)."""
 
+    __slots__ = ()
     alpha_val: Fraction
     beta_val: Fraction
 
@@ -402,8 +402,11 @@ def is_n_regular(a_p, k: int, p: int, n: int) -> bool:
     return order is None or order > n - 1
 
 
-@dataclass(frozen=True)
-class HatadaEntry:
+class HatadaEntry(namedtuple(
+    "HatadaEntry",
+    "k dim charpoly mod3_ok mod8_ok constant_nonzero slopes_positive",
+)):
+    __slots__ = ()
     k: int
     dim: int
     charpoly: tuple
@@ -417,8 +420,8 @@ class HatadaEntry:
         return self.mod3_ok and self.mod8_ok and self.constant_nonzero and self.slopes_positive
 
 
-@dataclass(frozen=True)
-class HatadaReport:
+class HatadaReport(namedtuple("HatadaReport", "entries")):
+    __slots__ = ()
     entries: tuple[HatadaEntry, ...]
 
     @property

@@ -20,7 +20,7 @@ indices below 2^63.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CenterOfWeightSpace
@@ -29,29 +29,33 @@ from .padic import val
 MAX_WILD_EXPONENT = 4096
 
 
-@dataclass(frozen=True, order=True)
-class WeightCharacter:
+class WeightCharacter(namedtuple("WeightCharacter", "k m")):
     """Pair (k, m): algebraic weight k >= 2 and wild order exponent m >= 0.
 
     Parity bookkeeping is implicit; the nebentypus absorbs it, and no choice
     of primitive root is stored since every downstream computation factors
-    through v(w).
+    through v(w). A tuple, so characters order by (k, m).
     """
 
+    __slots__ = ()
     k: int
     m: int
 
-    def __post_init__(self):
-        for name in ("k", "m"):
-            x = getattr(self, name)
+    def __new__(cls, k: int, m: int):
+        for name, x in (("k", k), ("m", m)):
             if type(x) is not int:
                 raise TypeError(f"{name} must be an int, got {type(x).__name__}")
-        if self.k < 2:
-            raise ValueError(f"algebraic weight must be >= 2, got {self.k}")
-        if self.m < 0:
-            raise ValueError(f"wild exponent must be >= 0, got {self.m}")
-        if self.m > MAX_WILD_EXPONENT:
-            raise ValueError(f"wild exponent must be <= {MAX_WILD_EXPONENT}, got {self.m}")
+        if k < 2:
+            raise ValueError(f"algebraic weight must be >= 2, got {k}")
+        if m < 0:
+            raise ValueError(f"wild exponent must be >= 0, got {m}")
+        if m > MAX_WILD_EXPONENT:
+            raise ValueError(f"wild exponent must be <= {MAX_WILD_EXPONENT}, got {m}")
+        return super().__new__(cls, k, m)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     def label(self) -> str:
         return f"k={self.k},m={self.m}"

@@ -217,7 +217,7 @@ def test_slopes_sl2z_t2_runs_without_sympy():
 
 
 # modules that a recompute loads and a cached slopes payload does not
-COMPUTE_MODULES = {"slopewalk.linalg", "slopewalk.padic", "slopewalk.qseries", "dataclasses"}
+COMPUTE_MODULES = {"slopewalk.linalg", "slopewalk.padic", "slopewalk.qseries"}
 # modules that neither the CLI's import nor a cached slopes payload needs
 DEFERRED_MODULES = {"slopewalk.eigencurve", "slopewalk.overconvergent", "slopewalk.pingpong",
                     "slopewalk.weightspace", *COMPUTE_MODULES}
@@ -238,27 +238,64 @@ def test_imports_load_only_the_runtime():
     assert DEFERRED_MODULES.isdisjoint(after)
 
 
+# cli.main(argv) in a fresh process; prints [exit code, stdout, loaded modules]
+MAIN_SCRIPT = (
+    "import contextlib, io, json, sys, slopewalk.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "    rc = slopewalk.cli.main(sys.argv[1:])\n"
+    "print(json.dumps([rc, out.getvalue(), sorted(sys.modules)]))"
+)
+# the slopes recompute classifies slopes, the oc one builds the U_2 matrix
+PAYLOAD_RUNS = (
+    (["slopes", "--level", "gamma0_2", "--k", "16", "--op", "u2"], "slopewalk.eigencurve"),
+    (["oc", "--trunc", "8"], "slopewalk.overconvergent"),
+)
+
+
+def run_main(argv) -> list:
+    proc = subprocess.run([sys.executable, "-c", MAIN_SCRIPT, *argv], capture_output=True,
+                          text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_warm_slopes_hit_loads_no_walk_or_oc_module(tmp_path):
-    script = (
-        "import contextlib, io, json, sys, slopewalk.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        "    rc = slopewalk.cli.main(sys.argv[1:])\n"
-        "print(json.dumps([rc, out.getvalue(), sorted(sys.modules)]))"
-    )
-    # the slopes recompute classifies slopes, the oc one builds the U_2 matrix
-    for argv, computes_with in (
-        (["slopes", "--level", "gamma0_2", "--k", "16", "--op", "u2"], "slopewalk.eigencurve"),
-        (["oc", "--trunc", "8"], "slopewalk.overconvergent"),
-    ):
+    for argv, computes_with in PAYLOAD_RUNS:
         argv = [*argv, "--cache-dir", str(tmp_path / argv[0])]
-        runs = [subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                               text=True, env=CHILD_ENV) for _ in ("cold", "warm")]
         (cold_rc, cold_out, cold_modules), (warm_rc, warm_out, warm_modules) = (
-            json.loads(run.stdout) for run in runs)
+            run_main(argv) for _ in ("cold", "warm"))
         assert (cold_rc, warm_rc) == (0, 0) and warm_out == cold_out
         assert computes_with in cold_modules
         assert COMPUTE_MODULES <= set(cold_modules)
         assert DEFERRED_MODULES.isdisjoint(warm_modules), argv[0]
+
+
+def test_uncached_payload_loads_no_hashlib(tmp_path):
+    # the source hash and the entry names are SHA-256, wanted only with a cache
+    for argv, _ in PAYLOAD_RUNS:
+        cached_rc, cached_out, cached_modules = run_main([*argv, "--cache-dir", str(tmp_path)])
+        rc, out, modules = run_main(argv)
+        assert rc == cached_rc == 0 and out == cached_out
+        assert "hashlib" in cached_modules and "hashlib" not in modules, argv[0]
+
+
+# costly standard modules that no slopewalk module may load: dataclasses
+# imports inspect, and hashlib loads OpenSSL
+IMPORT_BUDGET_EXCLUDES = {"dataclasses", "inspect", "typing", "hashlib"}
+
+
+@pytest.mark.parametrize("module", sorted(
+    "slopewalk" if path.stem == "__init__" else f"slopewalk.{path.stem}"
+    for path in Path(slopewalk.__file__).parent.glob("*.py")
+))
+def test_import_budget(module):
+    # python -S: no site-packages .pth file can load one of them first
+    script = f"import sys, {module}; print(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert module in proc.stdout.split()
+    assert IMPORT_BUDGET_EXCLUDES.isdisjoint(proc.stdout.split())
 
 
 def test_level_choices_are_the_levels():

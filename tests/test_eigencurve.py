@@ -282,7 +282,10 @@ def test_point_rejects_a_flag_that_is_not_a_bool(field, flag):
 
 
 def test_int_slope_becomes_a_fraction_and_a_fraction_is_kept():
-    assert type(EigencurvePointModel(WeightCharacter(5, 0), 2).slope) is Fraction
+    pt = EigencurvePointModel(WeightCharacter(5, 0), 2)
+    assert type(pt.slope) is Fraction and pt.slope == 2
+    assert (pt.pc, pt.classical_claim) == (True, True)  # the defaults
+    assert pt == EigencurvePointModel(WeightCharacter(5, 0), Fraction(2), True, True)
     half = Fraction(1, 2)
     assert EigencurvePointModel(WeightCharacter(2, 2), half).slope is half
     with pytest.raises(ValueError, match="slope must be >= 0"):
