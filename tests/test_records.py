@@ -39,9 +39,12 @@ def test_records_are_frozen_values(name):
     assert type(a).__name__ == name
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
     fields = getattr(a, "_fields", None) or type(a).__slots__
+    assert tuple(type(a).__annotations__) == fields  # the annotations document every field
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(a, field, getattr(a, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
     with pytest.raises(AttributeError):
         a.extra = 1
     assert pickle.loads(pickle.dumps(a)) == a and copy.copy(a) == a and copy.deepcopy(a) == a
@@ -92,7 +95,7 @@ REJECTIONS = [
 
 
 @pytest.mark.parametrize("ctor, args, kwargs, exc_type, message", REJECTIONS,
-                         ids=[message for *_, message in REJECTIONS])
+                         ids=[f"{ctor.__name__}: {message}" for ctor, *_, message in REJECTIONS])
 def test_constructor_rejections(ctor, args, kwargs, exc_type, message):
     with pytest.raises(exc_type) as excinfo:
         ctor(*args, **kwargs)
