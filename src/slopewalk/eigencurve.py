@@ -24,9 +24,7 @@ from .serialize import json_scalar, rat_from_str, rat_to_str
 from .weightspace import WeightCharacter, in_boundary, w_valuation
 
 
-class EigencurvePointModel(
-    namedtuple("EigencurvePointModel", "wc slope pc classical_claim")
-):
+class EigencurvePointModel(namedtuple("EigencurvePointModel", "wc slope pc classical_claim")):
     """Slope-and-weight model of a classical point.
 
     pc: potentially crystalline, i.e. not a twist of Steinberg at 2; the twin
