@@ -1,7 +1,7 @@
 """On-disk result cache with atomic writes and byte-exact verification.
 
-Entries are keyed by a canonical JSON object (command, parameters, package
-version); the payload is stored as the exact output string so that a cache
+Entries are keyed by a canonical JSON object (command, parameters, source
+fingerprint); the payload is stored as the exact output string so that a cache
 hit is byte-identical to recomputation by construction, and --verify-cache
 can prove it stayed that way. Writes go through a temp file plus os.replace,
 so concurrent writers are safe; corrupt entries are evicted, never trusted.
@@ -13,6 +13,7 @@ import json
 import os
 import tempfile
 from functools import lru_cache
+from importlib.util import source_hash
 from pathlib import Path
 
 from .serialize import json_dumps_stable
@@ -22,17 +23,17 @@ ENV_VAR = "SLOPEWALK_CACHE_DIR"
 
 @lru_cache(maxsize=1)
 def code_version() -> str:
-    """Hash of the installed package sources; cache keys carry it so stale
-    entries die on any code change. hashlib is imported here and in _path,
-    never at module level, so a process that uses no cache never loads it."""
-    import hashlib
-
+    """Fingerprint of the package sources, 16 hex digits; cache keys carry it
+    so stale entries die on any code change. It is importlib's source_hash
+    (the keyed 64-bit hash of hash-based .pyc files) of the *.py files in
+    name order, each framed as name, NUL, bytes: independent of
+    PYTHONHASHSEED, keyed by the interpreter's bytecode magic number, and
+    loading no OpenSSL."""
     root = Path(__file__).parent
-    digest = hashlib.sha256()
-    for path in sorted(root.glob("*.py")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
+    framed = b"".join(
+        path.name.encode() + b"\0" + path.read_bytes() for path in sorted(root.glob("*.py"))
+    )
+    return source_hash(framed).hex()
 
 
 def resolve_cache_dir(flag_value: str | None) -> Path | None:
@@ -49,10 +50,11 @@ class ResultCache:
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: dict) -> Path:
-        import hashlib
-
-        digest = hashlib.sha256(json_dumps_stable(key).encode()).hexdigest()
-        return self.directory / f"{digest}.json"
+        """The entry file: the source_hash of the canonical key, in hex. Two
+        keys that share a name can only cost misses, never a wrong hit,
+        because get compares the key stored in the entry."""
+        name = source_hash(json_dumps_stable(key).encode()).hex()
+        return self.directory / f"{name}.json"
 
     def get(self, key: dict) -> str | None:
         path = self._path(key)
@@ -63,8 +65,8 @@ class ResultCache:
             return entry["payload"]
         except FileNotFoundError:
             return None
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            # corrupt entry: evict rather than trust
+        except (ValueError, KeyError, TypeError, RecursionError):
+            # corrupt entry (too deeply nested counts too): evict rather than trust
             try:
                 path.unlink()
             except OSError:

@@ -94,8 +94,9 @@ def _serve(args, key: dict, compute, render) -> int:
     render counts as a miss and is replaced. With --verify-cache it is
     recomputed and compared byte-for-byte with the cached one, and a
     mismatch exits 3. render(obj) gives the CSV text and the --plot file
-    text of the decoded payload. The key gets code_version(), a hash of the
-    sources, only when a cache is in use, so an uncached run hashes nothing.
+    text of the decoded payload. The key gets code_version(), the source
+    fingerprint, only when a cache is in use, so an uncached run reads no
+    source file.
     """
     directory = resolve_cache_dir(args.cache_dir)
     cache = None

@@ -1,7 +1,24 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
-from slopewalk.cache import ResultCache, resolve_cache_dir
+import slopewalk
+from slopewalk.cache import ResultCache, code_version, resolve_cache_dir
+
+# prints code_version() of the slopewalk package found first on sys.path
+CODE_VERSION_SCRIPT = "from slopewalk.cache import code_version; print(code_version())"
+
+
+def child_code_version(pythonpath, seed="0") -> str:
+    env = dict(os.environ, PYTHONPATH=str(pythonpath), PYTHONHASHSEED=seed)
+    proc = subprocess.run([sys.executable, "-c", CODE_VERSION_SCRIPT], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def test_resolve_order(tmp_path, monkeypatch):
@@ -35,13 +52,42 @@ def test_an_entry_holds_only_its_key_and_payload(tmp_path):
 
 
 def test_corrupt_entries_are_evicted(tmp_path):
+    # json.loads raises RecursionError, not ValueError, on the deep entry
     cache = ResultCache(tmp_path)
     key = {"command": "x"}
-    cache.put(key, "good")
-    path = next(tmp_path.glob("*.json"))
-    path.write_text("{ truncated")
-    assert cache.get(key) is None
-    assert not path.exists()
+    for corrupt in ("{ truncated", "[" * 200000):
+        cache.put(key, "good")
+        path = next(tmp_path.glob("*.json"))
+        path.write_text(corrupt)
+        assert cache.get(key) is None
+        assert not path.exists()
+
+
+def test_code_version_ignores_the_hash_seed():
+    src = Path(slopewalk.__file__).parents[1]
+    versions = {child_code_version(src, seed) for seed in ("0", "1")}
+    assert versions == {code_version()}
+    assert len(code_version()) == 16 and set(code_version()) <= set("0123456789abcdef")
+
+
+def test_code_version_follows_every_source_byte_and_name(tmp_path):
+    # a copy of the package sources, fingerprinted in fresh processes
+    package = tmp_path / "slopewalk"
+    shutil.copytree(Path(slopewalk.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    original = child_code_version(tmp_path)
+    assert original == code_version()
+
+    edited = package / "pingpong.py"
+    source = edited.read_bytes()
+    assert source[3:4].isalpha()
+    edited.write_bytes(source[:3] + source[3:4].swapcase() + source[4:])
+    assert child_code_version(tmp_path) != original
+    edited.write_bytes(source)
+    assert child_code_version(tmp_path) == original
+
+    edited.rename(package / "pingpong2.py")
+    assert child_code_version(tmp_path) != original
 
 
 def test_key_mismatch_treated_as_corrupt(tmp_path):

@@ -252,36 +252,49 @@ PAYLOAD_RUNS = (
 )
 
 
-def run_main(argv) -> list:
-    proc = subprocess.run([sys.executable, "-c", MAIN_SCRIPT, *argv], capture_output=True,
-                          text=True, env=CHILD_ENV)
+def run_main(argv, *options, **env) -> list:
+    """MAIN_SCRIPT in an interpreter started with options, CHILD_ENV updated by env."""
+    proc = subprocess.run([sys.executable, *options, "-c", MAIN_SCRIPT, *argv], capture_output=True,
+                          text=True, env=dict(CHILD_ENV, **env))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
 def test_warm_slopes_hit_loads_no_walk_or_oc_module(tmp_path):
+    # the hit is written and served under different hash seeds: neither the
+    # source fingerprint nor the entry name depends on PYTHONHASHSEED
     for argv, computes_with in PAYLOAD_RUNS:
         argv = [*argv, "--cache-dir", str(tmp_path / argv[0])]
         (cold_rc, cold_out, cold_modules), (warm_rc, warm_out, warm_modules) = (
-            run_main(argv) for _ in ("cold", "warm"))
+            run_main(argv, PYTHONHASHSEED=seed) for seed in ("0", "1"))
         assert (cold_rc, warm_rc) == (0, 0) and warm_out == cold_out
+        assert len(list(Path(argv[-1]).glob("*.json"))) == 1
         assert computes_with in cold_modules
         assert COMPUTE_MODULES <= set(cold_modules)
         assert DEFERRED_MODULES.isdisjoint(warm_modules), argv[0]
 
 
-def test_uncached_payload_loads_no_hashlib(tmp_path):
-    # the source hash and the entry names are SHA-256, wanted only with a cache
+# hashlib and its extension module, which maps OpenSSL's libcrypto
+OPENSSL_MODULES = {"hashlib", "_hashlib"}
+
+
+def test_payload_runs_load_no_hashlib(tmp_path):
+    # the source fingerprint and the entry names are importlib's source_hash;
+    # python -S: no site-packages .pth file can load hashlib first
     for argv, _ in PAYLOAD_RUNS:
-        cached_rc, cached_out, cached_modules = run_main([*argv, "--cache-dir", str(tmp_path)])
-        rc, out, modules = run_main(argv)
-        assert rc == cached_rc == 0 and out == cached_out
-        assert "hashlib" in cached_modules and "hashlib" not in modules, argv[0]
+        cached = [*argv, "--cache-dir", str(tmp_path / argv[0])]
+        runs = {label: run_main(run, "-S") for label, run in (
+            ("cold", cached), ("warm", cached), ("verify", [*cached, "--verify-cache"]),
+            ("uncached", argv))}
+        assert [rc for rc, _, _ in runs.values()] == [0] * 4
+        assert len({out for _, out, _ in runs.values()}) == 1
+        for label, (_, _, modules) in runs.items():
+            assert OPENSSL_MODULES.isdisjoint(modules), (argv[0], label)
 
 
 # costly standard modules that no slopewalk module may load: dataclasses
 # imports inspect, and hashlib loads OpenSSL
-IMPORT_BUDGET_EXCLUDES = {"dataclasses", "inspect", "typing", "hashlib"}
+IMPORT_BUDGET_EXCLUDES = {"dataclasses", "inspect", "typing", *OPENSSL_MODULES}
 
 
 @pytest.mark.parametrize("module", sorted(
@@ -495,14 +508,17 @@ def test_cache_roundtrip_and_verify(capsys, tmp_path):
 
 
 def test_cache_corrupt_entry_is_evicted(capsys, tmp_path):
+    # json.loads raises RecursionError, not ValueError, on the deep entry
     cache_dir = tmp_path / "cache"
-    args = ["oc", "--trunc", "4", "--cache-dir", str(cache_dir)]
+    args = ["oc", "--trunc", "5", "--cache-dir", str(cache_dir)]
     _, fresh = run_cli(capsys, *args)
-    entries = list(cache_dir.glob("*.json"))
-    assert len(entries) == 1
-    entries[0].write_text("{ not json")
-    code, again = run_cli(capsys, *args)
-    assert code == 0 and again == fresh
+    for corrupt in ("{ not json", "[" * 200000):
+        (entry,) = cache_dir.glob("*.json")
+        entry.write_text(corrupt)
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (0, fresh, "")
+        assert json.loads(entry.read_text())["payload"] + "\n" == fresh
 
 
 @pytest.mark.parametrize("payload", ["not json", "[" * 100000, "{}", "[]", "5",
