@@ -7,11 +7,12 @@ satisfy s + s' = k - 1 with (k, m) fixed, and classicality is decided by the
 numerical criterion slope < k - 1 (ordinary meaning slope 0).
 
 Since v(w) is 2^(1-m) for m >= 1 and 2 for a boundary character with m = 0,
-the index, the twin's slope, the index sum and the criterion are integer
-closed forms in k, m and the slope's numerator num and denominator den:
-i = num * 2^(m-1) / den or num / (2 den), s' = ((k-1) den - num) / den, and
-i + i' = (k-1) * 2^(m-1) or (k-1) / 2. No Fraction is divided or raised to a
-power on these paths; the slope stays a Fraction.
+the index, the twin's slope and the criterion are integer closed forms in
+k, m and the slope's numerator num and denominator den: i = num * 2^(m-1) /
+den or num / (2 den), and s' = ((k-1) den - num) / den. The index sum
+i + i' = (k-1)/v(w), that is (k-1) * 2^(m-1) or (k-1) / 2, then holds
+whenever both indices are integers, so nothing checks it apart. No Fraction
+is divided or raised to a power on these paths; the slope stays a Fraction.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ class EigencurvePointModel(namedtuple("EigencurvePointModel", "wc slope pc class
     """Slope-and-weight model of a classical point.
 
     pc: potentially crystalline, i.e. not a twist of Steinberg at 2; the twin
-    involution is only defined there. classical_claim is a recorded flag and
-    is validated against the numerical criterion by classify(). An int slope
-    is stored as a Fraction.
+    involution is only defined there. classical_claim is a recorded flag, not
+    derived from the slope: the certificate checker requires it of every
+    within-annulus endpoint (ClassicalClaimMissing) and checks slope < k - 1
+    there apart (NotClassical). An int slope is stored as a Fraction.
     """
 
     __slots__ = ()
@@ -111,19 +113,6 @@ def twin(pt: EigencurvePointModel) -> EigencurvePointModel:
     return EigencurvePointModel(pt.wc, Fraction(num, den), pt.pc, pt.classical_claim)
 
 
-def twin_index_sum_check(pt: EigencurvePointModel) -> bool:
-    """Verify i + i' = (k-1)/v(w) with the quotient an integer."""
-    i = annulus_index(pt)
-    i_twin = annulus_index(twin(pt))
-    m = pt.wc.m
-    # a boundary point with m = 0 has odd k, so (k-1)/2 is an integer
-    return i + i_twin == ((pt.k - 1) << (m - 1) if m else (pt.k - 1) // 2)
-
-
-def classify(pt: EigencurvePointModel) -> str:
-    return classify_slope(pt.slope, pt.k)
-
-
 def below_k_minus_1(slope: Fraction, k: int) -> bool:
     """The classicality criterion slope < k - 1, in integers."""
     return slope.numerator < (k - 1) * slope.denominator
@@ -137,11 +126,6 @@ def classify_slope(slope: Fraction, k: int) -> str:
     if below_k_minus_1(slope, k):
         return "numerically_non_critical"
     return "neither"
-
-
-def is_numerically_non_critical(pt: EigencurvePointModel) -> bool:
-    """slope < k - 1 (ordinary points included)."""
-    return below_k_minus_1(pt.slope, pt.k)
 
 
 def bk_predicted_slope(i: int, wc: WeightCharacter) -> Fraction:

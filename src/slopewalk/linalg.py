@@ -11,7 +11,9 @@ are underdetermined raise InsufficientPrecision and inconsistent ones raise
 ResidualNonzero, because downstream operator matrices must be certified, not
 merely fitted.
 
-Matrices are lists of row lists with int or Fraction entries. The
+A matrix is a sequence of rows (lists or tuples), each a sequence of int or
+Fraction entries; every function here builds new lists and changes no
+matrix it is given, so a caller may pass the rows it holds. The
 characteristic polynomial is one division-free Berkowitz loop on integers: a
 matrix with a Fraction entry is scaled by the lcm L of its denominators, and
 each coefficient c_i of the scaled matrix is divided once by L^(n-i) at the

@@ -132,4 +132,4 @@ def oc_slopes(op: TruncatedCompactOperator) -> NewtonPolygon:
     """The Newton polygon of the truncation's characteristic polynomial: its
     ``slopes`` are the eigenvalue valuations, ascending, and its
     ``zero_root_multiplicity`` counts the zero eigenvalues."""
-    return NewtonPolygon.from_polynomial(_charpoly([list(row) for row in op.matrix]), 2)
+    return NewtonPolygon.from_polynomial(_charpoly(op.matrix), 2)

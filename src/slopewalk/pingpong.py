@@ -37,8 +37,8 @@ from fractions import Fraction
 from .eigencurve import (
     EigencurvePointModel,
     annulus_index,
+    below_k_minus_1,
     boundary_point,
-    is_numerically_non_critical,
     twin,
 )
 from .errors import ConstraintViolated, InvariantError, PreconditionError, SlopewalkError
@@ -310,7 +310,7 @@ def verify_certificate(cert: PingPongCertificate) -> list[Violation]:
                     Violation(j, "IndexMismatch", f"within-annulus move {src_idx} -> {dst_idx}")
                 )
             for pt in (mv.src, mv.dst):
-                if not is_numerically_non_critical(pt):
+                if not below_k_minus_1(pt.slope, pt.k):
                     violations.append(
                         Violation(j, "NotClassical", f"slope {pt.slope} >= k-1 = {pt.k - 1}")
                     )

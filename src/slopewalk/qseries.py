@@ -129,15 +129,11 @@ class QSeries:
         c = _norm(c)
         return QSeries(tuple(_norm(c * a) for a in self.coeffs), self.prec)
 
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            return self.scalar_mul(other)
+    def __mul__(self, other: "QSeries") -> "QSeries":
         # product precision accounts for leading zeros in either factor
         p = min(self.prec + other.order(), other.prec + self.order())
         out = truncated_product(self.coeffs[:p], other.coeffs[:p], p)
         return QSeries(tuple(_norm(c) for c in out), p)
-
-    __rmul__ = __mul__
 
 
 # -- standard constructors ----------------------------------------------------

@@ -143,11 +143,9 @@ def build_basis(level: Level, k: int, prec_hint: int | None = None) -> SpaceBasi
     Working precision defaults to 2*ceil(k*mu/12) + dim + 10 (mu the
     projective index); prec_hint can only raise it.
     """
-    _check_weight(level, k)
+    _check_weight(level, k)  # every admissible weight has a monomial
     exps = monomial_exponents(level, k)
     dim = len(exps)
-    if dim == 0:
-        raise ParityError(f"no monomials of weight {k} at level {level.value}")
     prec = 2 * sturm_bound(level, k) + dim + 10
     if prec_hint is not None:
         prec = max(prec, prec_hint)
@@ -235,9 +233,6 @@ class OperatorMatrix(namedtuple("OperatorMatrix", "entries operator space")):
     operator: str
     space: SpaceBasis
 
-    def as_lists(self) -> linalg.Matrix:
-        return [list(row) for row in self.entries]
-
     def to_json_obj(self) -> dict:
         obj = self.space.to_json_obj()
         obj["operator"] = self.operator
@@ -298,9 +293,28 @@ def operator_matrix(op: str, space: SpaceBasis, p: int | None = None) -> Operato
     return OperatorMatrix(entries, tag, space)
 
 
+def slope_operator(level: Level, k: int, op: str, p: int | None = None) -> OperatorMatrix | None:
+    """The certified matrix of u2 / t2 / tp on the weight-k space whose slopes
+    `slopes` reports: S_k at level 1, M_k at the other levels; None when that
+    space is 0.
+
+    The weight, then T_p's precision cap, then the operator are checked, all
+    before the basis is built, so an invalid request fails on the first of
+    them and a 0 space never reaches operator_matrix.
+    """
+    prec_hint = tp_precision(level, k, p if op == "tp" else None)
+    operator_prime(op, level, p)
+    space = build_basis(level, k, prec_hint)
+    if level is Level.SL2Z:
+        space = cusp_subspace_level1(space)
+    if space.dim == 0:
+        return None
+    return operator_matrix(op, space, p)
+
+
 def charpoly(m: OperatorMatrix) -> list:
     """Exact monic characteristic polynomial, coefficients ascending."""
-    return linalg.charpoly(m.as_lists())
+    return linalg.charpoly(m.entries)
 
 
 def rational_eigenvalue_with_slope(m: OperatorMatrix, target_slope, p: int) -> Fraction:
@@ -441,15 +455,15 @@ def hatada_check(k_values) -> HatadaReport:
     for k in k_values:
         if k % 2 != 0:
             raise PreconditionError(f"hatada_check takes even weights, got {k}")
-        space = cusp_subspace_level1(build_basis(Level.SL2Z, k))
-        if space.dim == 0:
+        mat = slope_operator(Level.SL2Z, k, "t2")
+        if mat is None:
             entries.append(HatadaEntry(k, 0, (1,), True, True, True, True))
             continue
-        cp = charpoly(operator_matrix("t2", space))
+        cp = charpoly(mat)
         lower = cp[:-1]
         mod3 = all(Fraction(c).denominator == 1 and Fraction(c).numerator % 3 == 0 for c in lower)
         mod8 = all(Fraction(c).denominator == 1 and Fraction(c).numerator % 8 == 0 for c in lower)
         const_nonzero = cp[0] != 0
         slopes_pos = const_nonzero and all(s > 0 for s in newton_slopes(cp, 2))
-        entries.append(HatadaEntry(k, space.dim, tuple(cp), mod3, mod8, const_nonzero, slopes_pos))
+        entries.append(HatadaEntry(k, mat.space.dim, tuple(cp), mod3, mod8, const_nonzero, slopes_pos))
     return HatadaReport(tuple(entries))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from certmut import apply_mutation, numeric_fields
 from oracle_store import _nquad_ratio_order, fixture_value
 from series_helpers import agrees
-from slopewalk.eigencurve import annulus_index, twin, twin_index_sum_check
+from slopewalk.eigencurve import annulus_index, twin
 from slopewalk.errors import RepeatedRoot
 from slopewalk.overconvergent import oc_slopes, u2_matrix_weight0
 from slopewalk.padic import newton_slopes, val
@@ -143,7 +143,6 @@ def test_criterion_6_lemma_identities_property_sweep():
         # index sum + integrality
         for _ in range(4000):
             pt = random_boundary_pc_point()
-            assert twin_index_sum_check(pt)
             total = Fraction(pt.k - 1) / w_valuation(pt.wc)
             assert total.denominator == 1
             assert annulus_index(pt) + annulus_index(twin(pt)) == total

@@ -360,6 +360,12 @@ def test_slopes_tp_composite_p_exit_code(capsys):
     assert "p must be prime" in err
 
 
+def test_slopes_tp_at_a_prime_dividing_the_conductor_exit_code(capsys):
+    code = main(["slopes", "--level", "gamma0_2", "--k", "8", "--op", "tp", "--p", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: T_2 requires p coprime to the conductor\n")
+
+
 # operators that do not act on the level-1 cusp space, which is 0 at k = 0, 4
 INVALID_LEVEL1_OPERATORS = [
     (["--op", "u2"], "U_2 does not act on unstabilized level-1 spaces"),

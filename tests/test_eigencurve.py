@@ -9,11 +9,8 @@ from slopewalk.eigencurve import (
     below_k_minus_1,
     bk_predicted_slope,
     boundary_point,
-    classify,
     classify_slope,
-    is_numerically_non_critical,
     twin,
-    twin_index_sum_check,
 )
 from slopewalk.errors import (
     CenterOfWeightSpace,
@@ -54,14 +51,16 @@ def test_twin_requires_pc():
 
 
 def test_twin_index_sum_examples():
-    assert twin_index_sum_check(_pt(5, 0, 2))  # 1 + 1 = 4/2
-    assert twin_index_sum_check(_pt(11, 0, 2))  # 1 + 4 = 10/2
+    pt = _pt(5, 0, 2)
+    assert annulus_index(pt) + annulus_index(twin(pt)) == defined_index_sum(5, 0) == 2  # 1 + 1 = 4/2
+    pt = _pt(11, 0, 2)
+    assert annulus_index(pt) + annulus_index(twin(pt)) == defined_index_sum(11, 0) == 5  # 1 + 4 = 10/2
 
 
 def test_classify():
-    assert classify(_pt(5, 0, 0)) == "ordinary"
-    assert classify(_pt(12, 0, 3)) == "numerically_non_critical"
-    assert classify(_pt(5, 0, 4)) == "neither"  # slope = k-1
+    assert classify_slope(Fraction(0), 5) == "ordinary"
+    assert classify_slope(Fraction(3), 12) == "numerically_non_critical"
+    assert classify_slope(Fraction(4), 5) == "neither"  # slope = k-1
 
 
 @st.composite
@@ -86,6 +85,8 @@ def test_bk_predicted_slope_examples():
     assert bk_predicted_slope(2**m - 1, WeightCharacter(2, m + 1)) == 1 - Fraction(1, 2**m)
     with pytest.raises(NotInBoundary):
         bk_predicted_slope(1, WeightCharacter(12, 0))
+    with pytest.raises(ValueError, match=">= 1"):
+        bk_predicted_slope(0, WeightCharacter(5, 0))
 
 
 def test_json_round_trip():
@@ -125,7 +126,7 @@ def test_boundary_reconstruction_round_trip(pt):
 
 @given(boundary_points)
 def test_index_sum_holds_on_generated_points(pt):
-    assert twin_index_sum_check(pt)
+    assert annulus_index(pt) + annulus_index(twin(pt)) == defined_index_sum(pt.k, pt.wc.m)
 
 
 # -- the integer closed forms against their Fraction definitions -------------------
@@ -234,11 +235,13 @@ def test_twin_matches_its_definition(pt):
         assert type(tw.slope) is Fraction and tw.slope == pt.k - 1 - pt.slope
         assert (tw.wc, tw.pc, tw.classical_claim) == (pt.wc, pt.pc, pt.classical_claim)
         assert twin(tw) == pt
-    assert is_numerically_non_critical(pt) is (pt.slope < pt.k - 1)
+    assert below_k_minus_1(pt.slope, pt.k) is (pt.slope < pt.k - 1)
 
 
 @given(model_points())
 def test_twin_index_sum_check_matches_its_definition(pt):
+    # i + i' = (k-1)/v(w) whenever both indices exist, which is why `twin`
+    # prints "index_sum_ok": true without computing the sum
     k, m = pt.k, pt.wc.m
     pt = EigencurvePointModel(pt.wc, pt.slope)  # pc, so only the indices can fail
     defined = (
@@ -249,14 +252,10 @@ def test_twin_index_sum_check_matches_its_definition(pt):
         and defined_index(k, m, k - 1 - pt.slope) is not None
     )
     if defined:
-        total = defined_index_sum(k, m)
-        expected = total.denominator == 1 and (
-            defined_index(k, m, pt.slope) + defined_index(k, m, k - 1 - pt.slope) == total
-        )
-        assert twin_index_sum_check(pt) is expected
+        assert annulus_index(pt) + annulus_index(twin(pt)) == defined_index_sum(k, m)
     else:
         with pytest.raises((CenterOfWeightSpace, NotInBoundary, NonIntegralIndex, ValueError)):
-            twin_index_sum_check(pt)
+            annulus_index(pt) + annulus_index(twin(pt))
 
 
 # -- only exact values enter the point model ---------------------------------------

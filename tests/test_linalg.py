@@ -267,6 +267,9 @@ def test_charpoly_small_cases():
     # companion matrix of X^3 - 2X - 5
     comp = [[0, 0, 5], [1, 0, 2], [0, 1, 0]]
     assert charpoly(comp) == [-5, -2, 0, 1]
+    assert charpoly([]) == [1]
+    with pytest.raises(ValueError, match="square"):
+        charpoly([[1, 2]])
 
 
 def test_charpoly_matches_trace_and_det():
@@ -291,6 +294,9 @@ def test_rational_roots_linear_and_quadratic():
     assert rational_roots([2, 0, 1]) == []  # X^2 + 2 has no rational roots
     assert rational_roots([1, 2, 1]) == [(Fraction(-1), 2)]  # double root
     assert rational_roots([0, 0, 1]) == [(Fraction(0), 2)]
+    assert rational_roots([2, -1, 0]) == [(Fraction(2), 1)]  # a zero leading coefficient is dropped
+    with pytest.raises(ValueError, match="zero polynomial"):
+        rational_roots([0, 0])
 
 
 def _poly_mul(a, b):

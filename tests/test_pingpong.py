@@ -1,6 +1,8 @@
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +56,8 @@ def test_induction_step_examples():
     assert z2 == z1 and annulus_index(z1) == 1 and moves == ()
     z2, _, _ = induction_step(2)
     assert z2.slope == Fraction(3, 4) and annulus_index(z2) == 3
+    with pytest.raises(PreconditionError):
+        induction_step(0)
 
 
 def test_induction_slope_strictly_inside_the_half_to_one_window():
@@ -149,6 +153,57 @@ def test_an_altered_assumptions_block_is_a_violation(edit):
     obj = connect(4, 7).to_json_obj()
     edit(obj)
     assert [(v.move, v.code) for v in verify_certificate_json(obj)] == [(None, "AssumptionsMismatch")]
+
+
+# code -> one field edit of connect(4, 7).to_json_obj() that raises it (the
+# path's last key is set to the value; moves 2, 4 and 6 are within_annulus,
+# moves 1, 3, 5 and 7 twin)
+VIOLATION_EDITS = {
+    "Malformed": (("endpoints",), [4]),  # endpoints must be a pair
+    "Empty": (("moves",), []),
+    "BadEndpoints": (("endpoints", 0), 0),
+    "BadKind": (("moves", 1, "kind"), "hop"),
+    "BadJustification": (("moves", 1, "justification"), "lem_unknown"),
+    "NotInBoundary": (("moves", 0, "from", "k"), 22),  # m = 0, k even
+    "CenterOfWeightSpace": (("moves", 3, "from", "m"), 0),  # (k=2, m=0)
+    "NonIntegralIndex": (("moves", 0, "from", "slope"), "9/1"),  # index 9/2
+    "StartMisplaced": (("moves", 1, "kind"), "start"),
+    "StartNotFixed": (("moves", 0, "to", "classical"), False),
+    "IndexMismatch": (("moves", 4, "to", "slope"), "1/8"),  # X_1 -> X_2
+    "NotClassical": (("moves", 2, "from", "k"), 15),  # slope 14 = k - 1
+    "ClassicalClaimMissing": (("moves", 2, "to", "classical"), False),
+    "NotPotentiallyCrystalline": (("moves", 3, "from", "pc"), False),
+    "TwinUndefined": (("moves", 7, "from", "slope"), "46/1"),  # > k - 1 = 44
+    "TwinArithmetic": (("moves", 7, "to", "slope"), "16/1"),
+    "FirstStepForm": (("moves", 2, "justification"), "lem_first_step"),
+    "InductionForm": (("moves", 4, "justification"), "lem_induction_step"),
+    "ChainBroken": (("moves", 3, "from", "classical"), False),
+    "EndpointMismatch": (("endpoints", 1), 9),
+    "AssumptionsMismatch": (("assumptions",), []),
+}
+
+
+def _edited_certificate(code):
+    obj = connect(4, 7).to_json_obj()
+    (*path, last), value = VIOLATION_EDITS[code]
+    parent = obj
+    for key in path:
+        parent = parent[key]
+    parent[last] = value
+    return obj
+
+
+@pytest.mark.parametrize("code", VIOLATION_EDITS)
+def test_one_field_edit_raises_each_violation_code(code):
+    assert code in {v.code for v in verify_certificate_json(_edited_certificate(code))}
+
+
+def test_the_readme_lists_exactly_the_violation_codes():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme[readme.index("| code | meaning |"):].split("\n\n")[0]
+    documented = {code for row in table.splitlines()[2:] for code in re.findall(r"`(\w+)`", row.split("|")[1])}
+    produced = {v.code for code in VIOLATION_EDITS for v in verify_certificate_json(_edited_certificate(code))}
+    assert documented == set(VIOLATION_EDITS) == produced
 
 
 def test_assumptions_block_order_and_checked_status_are_accepted():

@@ -48,6 +48,18 @@ def test_eisenstein_prefactors():
     assert eisenstein(2, 3).coeffs == (1, -24, -72)
     assert eisenstein(4, 3).coeffs == (1, 240, 2160)
     assert eisenstein(6, 3).coeffs == (1, -504, -16632)
+    with pytest.raises(ValueError, match="only E2, E4, E6"):
+        eisenstein(8, 3)
+
+
+def test_reads_past_the_precision_and_float_coefficients_are_refused():
+    q = theta(5)
+    with pytest.raises(InsufficientPrecision):
+        q[q.prec]
+    with pytest.raises(InsufficientPrecision):
+        q.truncate(q.prec + 1)
+    with pytest.raises(TypeError):
+        QSeries.from_coeffs([0.5])
 
 
 def test_a_level2_is_odd_divisor_sum():

@@ -24,6 +24,7 @@ from slopewalk.spaces import (
     expected_dimension,
     extract_slope_eigenform,
     monomial_exponents,
+    operator_prime,
     sturm_bound,
     hatada_check,
     is_n_regular,
@@ -102,6 +103,11 @@ def test_no_cusp_forms_below_weight_12():
     assert cusp_subspace_level1(build_basis(Level.SL2Z, 4)).dim == 0
 
 
+def test_cusp_subspace_level1_refuses_other_levels():
+    with pytest.raises(PreconditionError, match="sl2z"):
+        cusp_subspace_level1(build_basis(Level.GAMMA0_2, 8))
+
+
 def test_miller_echelon_weight_24_matches_oracle():
     cusp = cusp_subspace_level1(build_basis(Level.SL2Z, 24))
     assert cusp.dim == 2
@@ -135,6 +141,11 @@ def test_u2_requires_level_with_2_in_the_conductor():
         operator_matrix("u2", build_basis(Level.SL2Z, 12))
     with pytest.raises(PreconditionError):
         operator_matrix("t2", build_basis(Level.GAMMA0_2, 8))
+
+
+def test_an_unknown_operator_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown operator 'x'"):
+        operator_prime("x", Level.SL2Z)
 
 
 def test_operator_matrix_detects_underdetermined_solve():
@@ -211,8 +222,8 @@ def test_hecke_operators_commute():
         cusp = cusp_subspace_level1(build_basis(Level.SL2Z, k, prec_hint=60))
         if cusp.dim == 0:
             continue
-        t2 = operator_matrix("t2", cusp).as_lists()
-        t3 = operator_matrix("tp", cusp, p=3).as_lists()
+        t2 = operator_matrix("t2", cusp).entries
+        t3 = operator_matrix("tp", cusp, p=3).entries
         assert mat_mul(t2, t3) == mat_mul(t3, t2), f"k={k}"
 
 
@@ -353,8 +364,8 @@ def test_tp_charpoly_vanishes_at_the_eisenstein_eigenvalue(level, k, p):
 @pytest.mark.parametrize("k", range(1, 13))
 def test_t3_and_t5_commute_on_gamma1_4(k):
     space = _tp_space(Level.GAMMA1_4, k, 5)  # enough rows for T_3 as well
-    t3 = operator_matrix("tp", space, p=3).as_lists()
-    t5 = operator_matrix("tp", space, p=5).as_lists()
+    t3 = operator_matrix("tp", space, p=3).entries
+    t5 = operator_matrix("tp", space, p=5).entries
     assert mat_mul(t3, t5) == mat_mul(t5, t3)
 
 
