@@ -4,10 +4,10 @@ each written file, and the stderr text, over a fixed corpus of in-process
 
 The corpus holds the README's CLI examples, `slopes` at each level (a zero
 space, t2, u2 and tp at p = 3 and 5, as JSON, CSV and --plot), `oc` below and
-above the forking size, `hatada`, `twin` on and off the boundary, `wval`,
-`nregular` with a finite and an infinite ratio order, a certificate emitted,
-verified and verified again after one slope is changed, and one exit-2 run
-per subcommand. stdout is byte-identical across Python 3.10-3.13, so one
+above the forking size, two classical `slopes` runs at the forking size,
+`hatada`, `twin` on and off the boundary, `wval`, `nregular` with a finite
+and an infinite ratio order, a certificate emitted, verified and verified
+again after one slope is changed, and one exit-2 run per subcommand. stdout is byte-identical across Python 3.10-3.13, so one
 table serves every interpreter.
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_cli.json
@@ -68,6 +68,8 @@ OTHERS = [
     "oc --trunc 20",
     "oc --trunc 20 --csv --plot oc20.dat",
     "oc --trunc 30",  # at least FORK_MIN_N rows: charpoly forks where it can
+    "slopes --level gamma0_2 --k 88 --op u2",  # dim 23: a classical matrix that forks
+    "slopes --level gamma1_4 --k 45 --op u2",  # dim 23
     "twin 7 3 1/2",
     "twin 4 0 1",  # off the boundary: no indices
     "wval 4 0",
