@@ -63,7 +63,8 @@ class ResultCache:
             if entry["key"] != key or not isinstance(entry["payload"], str):
                 raise ValueError("key mismatch")
             return entry["payload"]
-        except FileNotFoundError:
+        except OSError:
+            # missing, or unreadable (a directory, no permission): a miss
             return None
         except (ValueError, KeyError, TypeError, RecursionError):
             # corrupt entry (too deeply nested counts too): evict rather than trust

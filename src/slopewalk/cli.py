@@ -86,6 +86,10 @@ def _print_violations(violations) -> int:
     return 0
 
 
+def _warn_uncached(exc: OSError) -> None:
+    print(f"warning: result cache unusable, payload not stored: {exc}", file=sys.stderr)
+
+
 def _serve(args, key: dict, compute, render) -> int:
     """The cached-payload path of slopes and oc.
 
@@ -96,13 +100,17 @@ def _serve(args, key: dict, compute, render) -> int:
     mismatch exits 3. render(obj) gives the CSV text and the --plot file
     text of the decoded payload. The key gets code_version(), the source
     fingerprint, only when a cache is in use, so an uncached run reads no
-    source file.
+    source file. A cache directory that cannot be created, or an entry that
+    cannot be written, costs one warning line on stderr, never the payload.
     """
     directory = resolve_cache_dir(args.cache_dir)
     cache = None
     if directory:
         key["code"] = code_version()
-        cache = ResultCache(directory)
+        try:
+            cache = ResultCache(directory)
+        except OSError as exc:
+            _warn_uncached(exc)
     payload = None if cache is None or args.verify_cache else cache.get(key)
     try:
         rendered = None if payload is None else render(json.loads(payload))
@@ -113,7 +121,10 @@ def _serve(args, key: dict, compute, render) -> int:
         payload = compute()
         if cache is not None:
             ok = not args.verify_cache or cache.verify(key, payload)
-            cache.put(key, payload)
+            try:
+                cache.put(key, payload)
+            except OSError as exc:
+                _warn_uncached(exc)
         rendered = render(json.loads(payload))
     csv, plot = rendered
     if args.plot:
@@ -166,6 +177,11 @@ def _cmd_slopes(args) -> int:
                 {"slope": rat_to_str(s), "class": classify_slope(s, args.k)} for s in slopes
             ],
             "refinements": refinements,
+            # the basis and matrix travel with the payload so that a cache
+            # entry is self-contained
+            "prec": mat.space.prec,
+            "basis": [[rat_to_str(c) for c in b.coeffs] for b in mat.space.basis],
+            "matrix": [[rat_to_str(x) for x in row] for row in mat.entries],
         }
         if args.op == "u2":
             # Eisenstein slopes follow the stabilization pattern {0, k-1};
@@ -178,12 +194,6 @@ def _cmd_slopes(args) -> int:
                     eis.append(s)
             obj["eisenstein_pattern_slopes"] = [rat_to_str(s) for s in eis]
             obj["cuspidal_slopes"] = [rat_to_str(s) for s in remaining]
-        # full serialized basis + matrix travel with the payload so a cache
-        # entry is self-contained
-        mat_obj = mat.to_json_obj()
-        obj["prec"] = mat_obj["prec"]
-        obj["basis"] = mat_obj["basis"]
-        obj["matrix"] = mat_obj["matrix"]
         return json_dumps_stable(obj)
 
     def render(obj) -> tuple[str, str]:
@@ -253,7 +263,7 @@ def _cmd_oc(args) -> int:
         polygon = oc_slopes(op)
         obj = {
             "schema": SCHEMA,
-            "size": op.size,
+            "size": len(op.matrix),
             "slopes": [rat_to_str(s) for s in polygon.slopes],
             "zero_roots": polygon.zero_root_multiplicity,
             "compared_to": None,
@@ -292,13 +302,15 @@ def _cmd_nregular(args) -> int:
 
 
 def _cmd_hatada(args) -> int:
-    report = spaces.hatada_check(range(12, args.kmax + 1, 2))
-    entries = [
-        {**e._asdict(), "charpoly": [rat_to_str(c) for c in e.charpoly], "passed": e.passed}
-        for e in report.entries
+    entries = spaces.hatada_check(range(12, args.kmax + 1, 2))
+    all_passed = all(e.passed for e in entries)
+    rows = [
+        {**e._asdict(), "charpoly": [rat_to_str(c) for c in e.charpoly], "dim": e.dim,
+         "passed": e.passed}
+        for e in entries
     ]
-    _print_json({"entries": entries, "all_passed": report.all_passed})
-    return 0 if report.all_passed else 3
+    _print_json({"entries": rows, "all_passed": all_passed})
+    return 0 if all_passed else 3
 
 
 def _cmd_wval(args) -> int:

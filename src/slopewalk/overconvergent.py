@@ -49,12 +49,11 @@ _CHECK_PREC = 40  # q-precision of the per-call check of MODULAR_EQUATION
 
 class TruncatedCompactOperator(namedtuple(
     "TruncatedCompactOperator",
-    "size matrix residual_margins column_min_valuations row_min_valuations",
+    "matrix residual_margins column_min_valuations row_min_valuations",
 )):
     """N x N finite section of U_2 in the hauptmodul power basis."""
 
     __slots__ = ()
-    size: int
     matrix: tuple[tuple[int, ...], ...]
     residual_margins: tuple[int, ...]  # zero rows known past each column's top degree
     # empirical compactness witness: min valuation on/below the diagonal per
@@ -125,7 +124,7 @@ def u2_matrix_weight0(n: int, prec: int) -> TruncatedCompactOperator:
         min((val(x, 2) for x in col[j:n] if x), default=None) for j, col in enumerate(columns)
     )
     row_vals = tuple(min((val(x, 2) for x in row if x), default=None) for row in matrix)
-    return TruncatedCompactOperator(n, matrix, margins, col_vals, row_vals)
+    return TruncatedCompactOperator(matrix, margins, col_vals, row_vals)
 
 
 def oc_slopes(op: TruncatedCompactOperator) -> NewtonPolygon:

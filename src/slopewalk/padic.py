@@ -119,11 +119,3 @@ class NewtonPolygon(namedtuple("NewtonPolygon", "slopes zero_root_multiplicity")
         for (x1, y1), (x2, y2) in reversed(list(zip(hull, hull[1:]))):
             roots += [Fraction(y1 - y2, x2 - x1)] * (x2 - x1)
         return cls(tuple(roots), points[0][0])
-
-
-def newton_slopes(coeffs, p: int) -> list[Fraction]:
-    """Valuations of the nonzero roots of sum(c_i X^i) (in an algebraic
-    closure), with multiplicity, ascending: the negated lower-hull slopes of
-    the points (i, v_p(c_i)). NewtonPolygon.from_polynomial also counts the
-    zero roots. Raises EmptyPolynomial when every coefficient is zero."""
-    return list(NewtonPolygon.from_polynomial(coeffs, p).slopes)

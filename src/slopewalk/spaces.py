@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     RepeatedRoot,
 )
-from .padic import is_prime, newton_slopes, val
+from .padic import NewtonPolygon, is_prime, val
 from .qseries import (
     QSeries,
     _norm,
@@ -41,7 +41,6 @@ from .qseries import (
     theta,
     u_p,
 )
-from .serialize import rat_to_str
 
 
 class Level(Enum):
@@ -113,7 +112,7 @@ def _check_weight(level: Level, k: int) -> None:
         raise ParityError(f"gamma1_4 admits k >= 1, got {k}")
 
 
-class SpaceBasis(namedtuple("SpaceBasis", "level k basis prec dim exponents")):
+class SpaceBasis(namedtuple("SpaceBasis", "level k basis prec")):
     """q-expansion basis of M_k(level), one series per generator monomial."""
 
     __slots__ = ()
@@ -121,20 +120,14 @@ class SpaceBasis(namedtuple("SpaceBasis", "level k basis prec dim exponents")):
     k: int
     basis: tuple[QSeries, ...]
     prec: int
-    dim: int
-    exponents: tuple[tuple[int, int], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
     def coefficient_matrix(self, rows: int) -> linalg.Matrix:
         """rows x dim matrix whose column j is basis_j's first coefficients."""
-        return [[self.basis[j][i] for j in range(self.dim)] for i in range(rows)]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "level": self.level.value,
-            "k": self.k,
-            "prec": self.prec,
-            "basis": [[rat_to_str(c) for c in b.coeffs] for b in self.basis],
-        }
+        return [[b[i] for b in self.basis] for i in range(rows)]
 
 
 def build_basis(level: Level, k: int, prec_hint: int | None = None) -> SpaceBasis:
@@ -159,7 +152,7 @@ def build_basis(level: Level, k: int, prec_hint: int | None = None) -> SpaceBasi
     for _ in range(max_b):
         pow2.append(pow2[-1] * g2)
     basis = tuple((pow1[a] * pow2[b]).truncate(prec) for a, b in exps)
-    space = SpaceBasis(level, k, basis, prec, dim, tuple(exps))
+    space = SpaceBasis(level, k, basis, prec)
     probe_rows = min(prec, dim + 6)
     if linalg.rank(space.coefficient_matrix(probe_rows)) != dim:
         raise DependentGenerators(
@@ -222,7 +215,7 @@ def _zero_constant_echelon(space: SpaceBasis) -> tuple[SpaceBasis, list[int]]:
     sliced = tuple(
         QSeries.from_coeffs(red[r], space.prec) for r, p in enumerate(pivots) if p >= 1
     )
-    return SpaceBasis(space.level, space.k, sliced, space.prec, len(sliced), ()), pivots
+    return SpaceBasis(space.level, space.k, sliced, space.prec), pivots
 
 
 class OperatorMatrix(namedtuple("OperatorMatrix", "entries operator space")):
@@ -232,12 +225,6 @@ class OperatorMatrix(namedtuple("OperatorMatrix", "entries operator space")):
     entries: tuple[tuple[Fraction | int, ...], ...]
     operator: str
     space: SpaceBasis
-
-    def to_json_obj(self) -> dict:
-        obj = self.space.to_json_obj()
-        obj["operator"] = self.operator
-        obj["matrix"] = [[rat_to_str(x) for x in row] for row in self.entries]
-        return obj
 
 
 def _apply_operator(op: str, p: int | None, space: SpaceBasis, series: QSeries) -> QSeries:
@@ -300,7 +287,9 @@ def slope_operator(level: Level, k: int, op: str, p: int | None = None) -> Opera
 
     The weight, then T_p's precision cap, then the operator are checked, all
     before the basis is built, so an invalid request fails on the first of
-    them and a 0 space never reaches operator_matrix.
+    them and a 0 space never reaches operator_matrix. build_basis and
+    operator_matrix repeat the weight and operator checks by design: they are
+    public and check their own input.
     """
     prec_hint = tp_precision(level, k, p if op == "tp" else None)
     operator_prime(op, level, p)
@@ -325,7 +314,7 @@ def rational_eigenvalue_with_slope(m: OperatorMatrix, target_slope, p: int) -> F
     """
     cp = charpoly(m)
     target = Fraction(target_slope)
-    count = sum(1 for s in newton_slopes(cp, p) if s == target)
+    count = NewtonPolygon.from_polynomial(cp, p).slopes.count(target)
     if count != 1:
         raise NoUniqueSlope(
             f"slope {target} occurs {count} times in the {m.operator} spectrum"
@@ -368,7 +357,7 @@ class RefinementModel(namedtuple("RefinementModel", "alpha_val beta_val")):
 
 def refinement(a_p, k: int, p: int) -> RefinementModel:
     a_p = Fraction(a_p)
-    slopes = newton_slopes([Fraction(p) ** (k - 1), -a_p, 1], p)
+    slopes = NewtonPolygon.from_polynomial([Fraction(p) ** (k - 1), -a_p, 1], p).slopes
     if len(slopes) != 2:
         raise InvariantError(f"Hecke polynomial produced {len(slopes)} slopes")
     lo, hi = slopes
@@ -418,11 +407,10 @@ def is_n_regular(a_p, k: int, p: int, n: int) -> bool:
 
 class HatadaEntry(namedtuple(
     "HatadaEntry",
-    "k dim charpoly mod3_ok mod8_ok constant_nonzero slopes_positive",
+    "k charpoly mod3_ok mod8_ok constant_nonzero slopes_positive",
 )):
     __slots__ = ()
     k: int
-    dim: int
     charpoly: tuple
     mod3_ok: bool
     mod8_ok: bool
@@ -430,21 +418,16 @@ class HatadaEntry(namedtuple(
     slopes_positive: bool
 
     @property
+    def dim(self) -> int:
+        return len(self.charpoly) - 1
+
+    @property
     def passed(self) -> bool:
         return self.mod3_ok and self.mod8_ok and self.constant_nonzero and self.slopes_positive
 
 
-class HatadaReport(namedtuple("HatadaReport", "entries")):
-    __slots__ = ()
-    entries: tuple[HatadaEntry, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-
-def hatada_check(k_values) -> HatadaReport:
-    """Congruence and non-ordinarity report for T_2 on level-1 cusp spaces.
+def hatada_check(k_values) -> tuple[HatadaEntry, ...]:
+    """Congruence and non-ordinarity entries for T_2 on level-1 cusp spaces.
 
     For each even weight: the characteristic polynomial must be X^dim mod 3
     and mod 8, its constant term nonzero, and all 2-adic Newton slopes
@@ -457,13 +440,13 @@ def hatada_check(k_values) -> HatadaReport:
             raise PreconditionError(f"hatada_check takes even weights, got {k}")
         mat = slope_operator(Level.SL2Z, k, "t2")
         if mat is None:
-            entries.append(HatadaEntry(k, 0, (1,), True, True, True, True))
+            entries.append(HatadaEntry(k, (1,), True, True, True, True))
             continue
         cp = charpoly(mat)
         lower = cp[:-1]
         mod3 = all(Fraction(c).denominator == 1 and Fraction(c).numerator % 3 == 0 for c in lower)
         mod8 = all(Fraction(c).denominator == 1 and Fraction(c).numerator % 8 == 0 for c in lower)
         const_nonzero = cp[0] != 0
-        slopes_pos = const_nonzero and all(s > 0 for s in newton_slopes(cp, 2))
-        entries.append(HatadaEntry(k, mat.space.dim, tuple(cp), mod3, mod8, const_nonzero, slopes_pos))
-    return HatadaReport(tuple(entries))
+        slopes_pos = const_nonzero and all(s > 0 for s in NewtonPolygon.from_polynomial(cp, 2).slopes)
+        entries.append(HatadaEntry(k, tuple(cp), mod3, mod8, const_nonzero, slopes_pos))
+    return tuple(entries)

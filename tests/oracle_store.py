@@ -148,6 +148,10 @@ def _nprefix(a: dict, prec: int) -> list[Fraction]:
 
 # -- naive linear algebra ------------------------------------------------------
 
+def _nmat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def _ndet(m: list[list[Fraction]]) -> Fraction:
     n = len(m)
     if n == 1:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import slopewalk
+from slopewalk.cache import ResultCache
 from slopewalk.cli import build_parser, main
 from slopewalk.pingpong import connect
 
@@ -544,6 +545,55 @@ def test_cache_corrupt_payload_is_a_miss(capsys, tmp_path, argv, payload):
     out, err = capsys.readouterr()
     assert (code, out, err) == (0, fresh, "")
     assert json.loads(entry.read_text())["payload"] + "\n" == fresh
+
+
+def _assert_served_with_one_warning(capsys, args, code, payload):
+    """main(args) exits `code`, prints `payload` and one warning line."""
+    got = main(args)
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, payload)
+    assert err.startswith("warning: ") and err.count("\n") == 1, err
+
+
+def test_a_file_given_as_the_cache_directory_only_warns(capsys, tmp_path):
+    _, fresh = run_cli(capsys, "oc", "--trunc", "5")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for extra in ([], ["--verify-cache"]):
+        _assert_served_with_one_warning(
+            capsys, ["oc", "--trunc", "5", "--cache-dir", str(blocker), *extra], 0, fresh)
+    assert blocker.read_text() == ""
+
+
+def test_a_directory_at_the_entry_path_is_a_miss_that_only_warns(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    args = ["oc", "--trunc", "5", "--cache-dir", str(cache_dir)]
+    _, fresh = run_cli(capsys, *args)
+    (entry,) = cache_dir.glob("*.json")
+    entry.unlink()
+    entry.mkdir()
+    for extra in ([], ["--verify-cache"]):
+        _assert_served_with_one_warning(capsys, [*args, *extra], 0, fresh)
+    assert entry.is_dir() and sorted(cache_dir.iterdir()) == [entry]  # no temp file left
+
+
+def test_a_cache_write_that_fails_only_warns(capsys, tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    args = ["slopes", "--level", "sl2z", "--k", "16", "--op", "t2", "--cache-dir", str(cache_dir)]
+    _, fresh = run_cli(capsys, *args)
+    (entry,) = cache_dir.glob("*.json")
+    stored = json.loads(entry.read_text())
+    entry.write_text(json.dumps({**stored, "payload": stored["payload"] + " "}))
+
+    def refuse(self, key, payload):
+        raise PermissionError(13, "Permission denied", str(self.directory))
+
+    monkeypatch.setattr(ResultCache, "put", refuse)
+    # a miss is served; a --verify-cache mismatch still exits 3
+    _assert_served_with_one_warning(
+        capsys, [*args[:-1], str(tmp_path / "other")], 0, fresh)
+    _assert_served_with_one_warning(capsys, [*args, "--verify-cache"], 3, fresh)
+    assert not list((tmp_path / "other").iterdir())
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

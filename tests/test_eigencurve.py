@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle_store import _nval
 from slopewalk.eigencurve import (
     EigencurvePointModel,
     annulus_index,
@@ -134,14 +135,6 @@ def test_index_sum_holds_on_generated_points(pt):
 # The definitions below are written from the weightspace docstring and the
 # Buzzard-Kilford index i = slope / v(w); they share no code with src/.
 
-def _v2(n: int) -> int:
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    return e
-
-
 def defined_v_w(k: int, m: int) -> Fraction | None:
     """v(w) by the docstring's closed form; None at the center (2, 0)."""
     if m >= 1:
@@ -150,7 +143,7 @@ def defined_v_w(k: int, m: int) -> Fraction | None:
         return None
     if k % 2 == 1:
         return Fraction(2)
-    return 2 + Fraction(_v2(k - 2))
+    return 2 + _nval(k - 2, 2)
 
 
 def defined_member(k: int, m: int) -> bool:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_store import _nmat_mul, _npoly_mul
 import slopewalk
 import slopewalk.linalg as linalg
 from slopewalk.errors import InsufficientPrecision, ResidualNonzero
@@ -26,10 +27,6 @@ from slopewalk.linalg import (
 )
 
 
-def mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 def test_rref_and_rank():
     m, pivots = rref([[2, 4], [1, 2], [0, 1]])
     assert pivots == [0, 1]
@@ -39,7 +36,7 @@ def test_rref_and_rank():
 def test_solve_exact_certifies_every_row():
     a = [[1, 0], [0, 1], [1, 1], [2, 3]]
     x = [[Fraction(5)], [Fraction(-2)]]
-    b = mat_mul(a, x)
+    b = _nmat_mul(a, x)
     assert solve_exact(a, b) == x
 
 
@@ -128,7 +125,7 @@ def systems(draw):
         for row in a:
             row[0] = sum(w * x for w, x in zip(weights, row[1:]))
     x = draw(matrices(n, m))
-    return a, mat_mul(a, x), x
+    return a, _nmat_mul(a, x), x
 
 
 @settings(max_examples=300, deadline=None)
@@ -184,7 +181,7 @@ def test_solve_exact_on_the_u2_systems(level, k):
     b = [[im[i] for im in images] for i in range(rows)]
     x = solve_exact(a, b)
     assert x == _reference_solve(a, b)
-    assert mat_mul(a, x) == b
+    assert _nmat_mul(a, x) == b
     probe = space.coefficient_matrix(space.dim + 6)
     assert rank(probe) == _reference_rank(probe) == space.dim
 
@@ -299,19 +296,11 @@ def test_rational_roots_linear_and_quadratic():
         rational_roots([0, 0])
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def test_rational_roots_higher_degree_uses_exact_factorization():
     # (X - 2)(X + 3)(X - 1/2)(X^2 + 1)
     coeffs = [Fraction(1)]
     for factor in ([-2, 1], [3, 1], [Fraction(-1, 2), 1], [1, 0, 1]):
-        coeffs = _poly_mul(coeffs, [Fraction(c) for c in factor])
+        coeffs = _npoly_mul(coeffs, [Fraction(c) for c in factor])
     roots = dict(rational_roots(coeffs))
     assert roots == {Fraction(2): 1, Fraction(-3): 1, Fraction(1, 2): 1}
 
@@ -330,10 +319,10 @@ def test_rational_roots_recovers_the_roots_a_polynomial_was_built_from(roots, ir
     # scale * X^zeros * (X^2 + 2)^[irreducible] * prod (X - r)^m
     coeffs = [Fraction(0)] * zeros + [scale]
     if irreducible:
-        coeffs = _poly_mul(coeffs, [Fraction(2), Fraction(0), Fraction(1)])
+        coeffs = _npoly_mul(coeffs, [Fraction(2), Fraction(0), Fraction(1)])
     for r, m in roots.items():
         for _ in range(m):
-            coeffs = _poly_mul(coeffs, [-r, Fraction(1)])
+            coeffs = _npoly_mul(coeffs, [-r, Fraction(1)])
     expected = dict(roots)
     if zeros:
         expected[Fraction(0)] = zeros
@@ -353,7 +342,7 @@ def _leibniz_charpoly(m):
         inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
         term = [Fraction((-1) ** inversions)]
         for i, j in enumerate(perm):
-            term = _poly_mul(term, [-Fraction(m[i][j]), Fraction(int(i == j))])
+            term = _npoly_mul(term, [-Fraction(m[i][j]), Fraction(int(i == j))])
         for d, c in enumerate(term):
             total[d] += c
     return total

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracle_store import _nbuzzard_calegari, fixture_value
+from oracle_store import _nbuzzard_calegari, _nval, fixture_value
 import slopewalk.overconvergent as ov
 from slopewalk.errors import InsufficientPrecision, InvariantError
 from slopewalk.cli import main
@@ -28,13 +28,6 @@ def test_u2_of_f_leading_coefficient_matches_oracle():
     assert op.residual_margins[1] == 16 // 2 - 1 - 2  # U_2 f has degree 2
 
 
-def _v2(x):
-    v = 0
-    while x % 2 == 0:
-        x, v = x // 2, v + 1
-    return v
-
-
 def test_entries_are_integers_and_lower_valuations_grow():
     op = u2_matrix_weight0(12, 32)
     a = op.matrix
@@ -42,9 +35,9 @@ def test_entries_are_integers_and_lower_valuations_grow():
     assert all(v is None or type(v) is int for v in op.column_min_valuations)
     assert all(v is None or type(v) is int for v in op.row_min_valuations)
     assert op.column_min_valuations == tuple(
-        min((_v2(a[i][j]) for i in range(j, 12) if a[i][j]), default=None) for j in range(12)
+        min((_nval(a[i][j], 2) for i in range(j, 12) if a[i][j]), default=None) for j in range(12)
     )
-    assert op.row_min_valuations == tuple(min(_v2(x) for x in row if x) for row in a)
+    assert op.row_min_valuations == tuple(min(_nval(x, 2) for x in row if x) for row in a)
     vals = [v for v in op.column_min_valuations if v is not None]
     assert all(v >= 0 for v in vals)  # 2-integral
     assert vals == sorted(vals)  # compactness witness on/below the diagonal

@@ -4,9 +4,9 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_store import fixture_value
+from oracle_store import _nval, fixture_value
 from slopewalk.errors import EmptyPolynomial
-from slopewalk.padic import NewtonPolygon, is_prime, newton_slopes, val
+from slopewalk.padic import NewtonPolygon, is_prime, val
 from slopewalk.serialize import rat_from_str
 
 
@@ -49,11 +49,11 @@ def test_val_5pow10_matches_oracle_fixture():
 
 
 def test_newton_slopes_hand_hulls():
-    assert newton_slopes([2048, 24, 1], 2) == [3, 8]
+    assert NewtonPolygon.from_polynomial([2048, 24, 1], 2).slopes == (3, 8)
     # a_2 of the weight-16 eigenform is 216 (oracle fixture)
     a2 = rat_from_str(fixture_value("a2_weight16_eigenform"))
     assert a2 == 216
-    assert newton_slopes([2**15, -a2, 1], 2) == [3, 12]
+    assert NewtonPolygon.from_polynomial([2**15, -a2, 1], 2).slopes == (3, 12)
 
 
 def test_zero_roots_reported_separately():
@@ -64,13 +64,13 @@ def test_zero_roots_reported_separately():
 
 def test_all_zero_coefficients_rejected():
     with pytest.raises(EmptyPolynomial):
-        newton_slopes([0, 0, 0], 2)
+        NewtonPolygon.from_polynomial([0, 0, 0], 2)
 
 
 def test_slope_count_and_sum():
     # X^2 - aX + p^(k-1): slopes sum to v(const) - v(lead) = k-1
     for a, k in [(-24, 12), (216, 16), (6, 5)]:
-        slopes = newton_slopes([2 ** (k - 1), -a, 1], 2)
+        slopes = NewtonPolygon.from_polynomial([2 ** (k - 1), -a, 1], 2).slopes
         assert len(slopes) == 2
         assert sum(slopes) == k - 1
 
@@ -81,7 +81,7 @@ def test_slope_count_and_sum():
     p=st.sampled_from([2, 3, 5]),
 )
 def test_quadratic_slope_sum_identity(a, k, p):
-    slopes = newton_slopes([p ** (k - 1), -a, 1], p)
+    slopes = NewtonPolygon.from_polynomial([p ** (k - 1), -a, 1], p).slopes
     assert len(slopes) == 2
     assert sum(slopes) == k - 1
 
@@ -153,18 +153,7 @@ def test_newton_polygon_matches_brute_force_envelope(p, terms):
     assert polygon.zero_root_multiplicity == low
     assert type(polygon.slopes) is tuple
     assert all(type(r) is Fraction for r in polygon.slopes)
-    assert list(polygon.slopes) == newton_slopes(coeffs, p) == expected
-
-
-def _naive_val(x, p):
-    """v_p of a nonzero rational by dividing out one factor of p at a time."""
-    x = Fraction(x)
-    num, den, v = x.numerator, x.denominator, 0
-    while num % p == 0:
-        num, v = num // p, v + 1
-    while den % p == 0:
-        den, v = den // p, v - 1
-    return v
+    assert list(polygon.slopes) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -185,6 +174,6 @@ def test_val_matches_naive_division(p, unit, den, e, shift, shape):
         x = 2**e * (2 * unit + 1)  # 2^e times an odd number, e up to 10^4
     else:
         x = Fraction(p ** (e % 300) * unit, den)
-    assert val(x, p) == _naive_val(x, p)
+    assert val(x, p) == _nval(x, p)
     assert type(val(x, p)) is int
     assert val(-x, p) == val(x, p)

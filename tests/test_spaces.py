@@ -1,10 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracle_store import _nquad_ratio_order, fixture_value
+from oracle_store import _nmat_mul, _nquad_ratio_order, fixture_value
 from series_helpers import agrees, delta
+from slopewalk.cli import main
 from slopewalk.errors import (
     IrrationalEigenvalue,
     NoUniqueSlope,
@@ -12,7 +14,7 @@ from slopewalk.errors import (
     PreconditionError,
     RepeatedRoot,
 )
-from slopewalk.padic import newton_slopes
+from slopewalk.padic import NewtonPolygon
 from slopewalk.qseries import u_p
 from slopewalk.serialize import rat_from_str
 from slopewalk.spaces import (
@@ -38,10 +40,6 @@ from slopewalk.spaces import (
 from slopewalk.linalg import rational_roots
 
 _frozen = lambda fid: fixture_value(fid)
-
-
-def mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 # -- bases ---------------------------------------------------------------------
@@ -153,14 +151,7 @@ def test_operator_matrix_detects_underdetermined_solve():
 
     space = build_basis(Level.GAMMA0_2, 8)
     # starve the solve: U_2 images of a prec-5 basis keep only 2 rows < dim 3
-    starved = SpaceBasis(
-        space.level,
-        space.k,
-        tuple(b.truncate(5) for b in space.basis),
-        5,
-        space.dim,
-        space.exponents,
-    )
+    starved = SpaceBasis(space.level, space.k, tuple(b.truncate(5) for b in space.basis), 5)
     with pytest.raises(InsufficientPrecision):
         operator_matrix("u2", starved)
 
@@ -174,7 +165,7 @@ def test_u2_weight5_slice_spectrum_matches_oracle():
     assert eigs == [-4, 16]
     # charpoly = (X + 4)(X - 16)
     assert cp == [eigs[0] * eigs[1], -(eigs[0] + eigs[1]), 1]
-    assert newton_slopes(cp, 2) == [2, 4]
+    assert NewtonPolygon.from_polynomial(cp, 2).slopes == (2, 4)
 
 
 def test_extract_seed_eigenform_and_verify_eigenvector():
@@ -195,7 +186,7 @@ def test_extract_slope_eigenform_error_paths():
     # weight 24: the T_2 eigenvalues are irrational, slopes {3, 7} distinct
     cusp24 = cusp_subspace_level1(build_basis(Level.SL2Z, 24))
     t2 = operator_matrix("t2", cusp24)
-    slopes = newton_slopes(charpoly(t2), 2)
+    slopes = NewtonPolygon.from_polynomial(charpoly(t2), 2).slopes
     lone = [s for s in slopes if slopes.count(s) == 1]
     with pytest.raises(IrrationalEigenvalue):
         rational_eigenvalue_with_slope(t2, lone[0], 2)
@@ -214,7 +205,7 @@ def test_t2_charpoly_weight24_matches_oracle():
         str(rat_from_str(s)) for s in _frozen("t2_charpoly_S24")
     ]
     assert cp[0] != 0
-    assert all(s > 0 for s in newton_slopes(cp, 2))
+    assert all(s > 0 for s in NewtonPolygon.from_polynomial(cp, 2).slopes)
 
 
 def test_hecke_operators_commute():
@@ -224,12 +215,12 @@ def test_hecke_operators_commute():
             continue
         t2 = operator_matrix("t2", cusp).entries
         t3 = operator_matrix("tp", cusp, p=3).entries
-        assert mat_mul(t2, t3) == mat_mul(t3, t2), f"k={k}"
+        assert _nmat_mul(t2, t3) == _nmat_mul(t3, t2), f"k={k}"
 
 
 def test_twin_slope_embedding_weight12_matches_oracle():
     m12 = build_basis(Level.GAMMA0_2, 12)
-    slopes = newton_slopes(charpoly(operator_matrix("u2", m12)), 2)
+    slopes = NewtonPolygon.from_polynomial(charpoly(operator_matrix("u2", m12)), 2).slopes
     assert [str(s) for s in slopes] == [
         str(rat_from_str(s)) for s in _frozen("u2_slopes_gamma0_2_weight12")
     ]  # {0, 3, 8, 11}: Eisenstein 0 and k-1, refinement pair {3, 8}
@@ -295,9 +286,9 @@ def test_is_n_regular():
 # -- hatada -----------------------------------------------------------------------
 
 def test_hatada_small_sweep():
-    report = hatada_check([4, 12, 14, 16, 24])
-    assert report.all_passed
-    by_k = {e.k: e for e in report.entries}
+    entries = hatada_check([4, 12, 14, 16, 24])
+    assert all(e.passed for e in entries)
+    by_k = {e.k: e for e in entries}
     assert by_k[4].dim == 0  # vacuous
     assert by_k[12].charpoly == (24, 1)
     with pytest.raises(PreconditionError):
@@ -306,15 +297,16 @@ def test_hatada_small_sweep():
 
 # -- serialization ------------------------------------------------------------------
 
-def test_space_and_matrix_json_round_trip():
+def test_space_and_matrix_json_round_trip(capsys):
+    # the slopes payload carries the basis and the matrix it was computed from
+    assert main(["slopes", "--level", "gamma1_4", "--k", "5", "--op", "u2"]) == 0
+    obj = json.loads(capsys.readouterr().out)
     space = build_basis(Level.GAMMA1_4, 5)
-    obj = space.to_json_obj()
-    assert (obj["level"], obj["k"], obj["prec"]) == ("gamma1_4", 5, space.prec)
+    assert (obj["level"], obj["k"], obj["prec"], obj["dim"]) == ("gamma1_4", 5, space.prec, space.dim)
     assert [[rat_from_str(c) for c in row] for row in obj["basis"]] == [list(b.coeffs) for b in space.basis]
     mat = operator_matrix("u2", space)
-    mobj = mat.to_json_obj()
-    assert mobj["operator"] == "u2"
-    assert mobj["matrix"] == [[f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in row] for row in mat.entries]
+    assert obj["operator"] == "u2"
+    assert obj["matrix"] == [[f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in row] for row in mat.entries]
 
 
 # -- T_p with its character and a q-precision scaled with p ---------------------
@@ -366,7 +358,7 @@ def test_t3_and_t5_commute_on_gamma1_4(k):
     space = _tp_space(Level.GAMMA1_4, k, 5)  # enough rows for T_3 as well
     t3 = operator_matrix("tp", space, p=3).entries
     t5 = operator_matrix("tp", space, p=5).entries
-    assert mat_mul(t3, t5) == mat_mul(t5, t3)
+    assert _nmat_mul(t3, t5) == _nmat_mul(t5, t3)
 
 
 @given(st.sampled_from(list(Level)), st.integers(-(10**30), 10**30))
